@@ -10,6 +10,11 @@ Subcommands::
     spectop walks      tree | finite | fit | roundtrip
     spectop sweep      run a config-driven suite over a parameter grid
 
+The check suites live in one table, ``SUITES``: each names its parameters,
+its CSV header and a trial function. ``verify`` runs a suite on one family;
+``sweep`` runs it over every family of a config, with the parameters read
+from the config grid.
+
 Exit codes: 0 all checks passed, 1 an inequality was violated (the violating
 instance is serialized for replay), 2 usage or input error.
 
@@ -26,7 +31,9 @@ rows are aggregated in trial order.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -40,7 +47,6 @@ import scipy
 
 from . import __version__
 from .bounds import (
-    BoundReport,
     HypothesisViolatedError,
     finite_param_check,
     interlacing_check,
@@ -134,25 +140,22 @@ def invocation_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
 
 
-def write_text(path: str | None, text: str) -> None:
+def emit(text: str, path: str | None, config: dict, seed: int | None) -> None:
+    """Write text to path plus its manifest, or to stdout when path is None."""
     if not text.endswith("\n"):
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    write_manifest(path, config, seed)
 
 
 def n_workers(override: int | None = None) -> int:
@@ -176,9 +179,21 @@ def run_trials(fn: Callable[[int], Any], trials: int, workers: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
-def report_violations(
-    args: argparse.Namespace, violations: list[dict], out_path: str | None
-) -> int:
+def violation(
+    suite: str, family: dict, trial: int, seed: int | None, params: dict, row: dict
+) -> dict:
+    """A violated instance, with what it takes to replay it."""
+    return {
+        "suite": suite,
+        "family": family,
+        "trial": trial,
+        "seed": seed,
+        "params": params,
+        "row": row,
+    }
+
+
+def report_violations(violations: list[dict], out_path: str | None) -> int:
     if not violations:
         return 0
     payload = json.dumps(violations, sort_keys=True, indent=2, default=fmt)
@@ -188,6 +203,20 @@ def report_violations(
     sys.stderr.write(payload + "\n")
     sys.stderr.write(f"FAIL: {len(violations)} violated instance(s) serialized for replay\n")
     return 1
+
+
+def emit_record(
+    args: argparse.Namespace, suite: str, text: str, ok: bool,
+    family: dict, seed: int | None, params: dict,
+) -> int:
+    """Emit a single-instance JSON record to --out; a failed one is also
+    reported as a violation."""
+    emit(text, args.out, invocation_config(args), seed)
+    if ok:
+        return 0
+    return report_violations(
+        [violation(suite, family, 0, seed, params, json.loads(text))], args.out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,51 +265,55 @@ def add_graph_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def family_spec(args: argparse.Namespace, seed: int) -> FamilySpec:
-    if args.family is None:
-        raise GraphError("either --graph or --family is required")
-    fseed = args.family_seed if args.family_seed is not None else seed
-    return FamilySpec(
-        family=args.family,
-        n=args.n,
-        d=args.d,
-        depth=args.depth,
-        dims=args.dims,
-        seed=fseed,
-    )
-
-
-def family_desc(args: argparse.Namespace) -> dict:
+def family_of(args: argparse.Namespace) -> dict:
+    """The graph flags as a sweep ``families`` entry (``{"graph": path}`` for
+    a file); --family-seed becomes the entry's pinned "seed"."""
     if args.graph:
         return {"graph": args.graph}
-    desc = {"family": args.family}
+    if args.family is None:
+        raise GraphError("either --graph or --family is required")
+    fam = {"family": args.family}
     for key in ("n", "d", "depth", "dims"):
         value = getattr(args, key)
         if value is not None:
-            desc[key] = list(value) if isinstance(value, tuple) else value
-    return desc
+            fam[key] = list(value) if isinstance(value, tuple) else value
+    if args.family_seed is not None:
+        fam["seed"] = args.family_seed
+    return fam
 
 
-def graph_provider(args: argparse.Namespace) -> Callable[[int], WeightedGraph]:
-    """Map a trial seed to a graph.
+def spec_from_dict(fam: dict, seed: int) -> FamilySpec:
+    """The FamilySpec of a families entry; an entry without "seed" takes ``seed``."""
+    if "family" not in fam:
+        raise GraphError(f"a family is required, got {fam}")
+    dims = fam.get("dims")
+    return FamilySpec(
+        family=fam["family"],
+        n=fam.get("n"),
+        d=fam.get("d"),
+        depth=fam.get("depth"),
+        dims=tuple(dims) if dims is not None else None,
+        seed=fam.get("seed", seed),
+    )
 
-    File inputs and deterministic families ignore the seed and return one
-    cached instance; random-regular regenerates per seed unless the caller
-    pinned --family-seed.
+
+def graph_provider(fam: dict) -> Callable[[int], WeightedGraph]:
+    """Map a trial seed to the graph of a families entry.
+
+    Only a random-regular entry without a pinned "seed" draws a new graph
+    from each trial seed; any other entry, and a ``{"graph": path}`` file, is
+    built on first use and shared by every trial.
     """
-    if args.graph:
-        g = read_graph(args.graph)
-        return lambda seed: g
-    if args.family == "random-regular" and args.family_seed is None:
-        return lambda seed: generate(family_spec(args, seed))
-    g = generate(family_spec(args, 0))
-    return lambda seed: g
+    if fam.get("family") == "random-regular" and "seed" not in fam:
+        return lambda seed: generate(spec_from_dict(fam, seed))
 
+    @functools.cache
+    def shared() -> WeightedGraph:
+        if "graph" in fam:
+            return read_graph(fam["graph"])
+        return generate(spec_from_dict(fam, 0))
 
-def single_graph(args: argparse.Namespace, seed: int) -> WeightedGraph:
-    if args.graph:
-        return read_graph(args.graph)
-    return generate(family_spec(args, seed))
+    return lambda seed: shared()
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +321,7 @@ def single_graph(args: argparse.Namespace, seed: int) -> WeightedGraph:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = family_spec(args, args.seed)
+    spec = spec_from_dict(family_of(args), args.seed)
     g = generate(spec)
     write_graph(g, args.out)
     write_manifest(args.out, invocation_config(args), args.seed)
@@ -297,20 +330,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    g = single_graph(args, args.seed)
+    g = graph_provider(family_of(args))(args.seed)
     spectrum = eigenvalues(g, cap=args.cap, compute_residual=not args.no_residual)
     spectrum_to_csv(spectrum, args.out)
     write_manifest(args.out, invocation_config(args), args.seed)
     if args.interval is not None:
         a, b = args.interval
         iv = SpectralInterval(a, b, not args.open_a, not args.open_b)
-        record = interval_query_json(spectrum, iv)
-        text = json.dumps(record, sort_keys=True)
-        if args.query_out:
-            write_text(args.query_out, text)
-            write_manifest(args.query_out, invocation_config(args), args.seed)
-        else:
-            print(text)
+        text = json.dumps(interval_query_json(spectrum, iv), sort_keys=True)
+        emit(text, args.query_out, invocation_config(args), args.seed)
     return 0
 
 
@@ -325,33 +353,20 @@ def _build_net(g: WeightedGraph, method: str, r: int, p: float | None, seed: int
 
 
 def cmd_net(args: argparse.Namespace) -> int:
-    g = single_graph(args, args.seed)
-    net = _build_net(g, args.method, args.r, args.p, args.seed)
-    text = net.to_json()
-    if args.out:
-        write_text(args.out, text)
-        write_manifest(args.out, invocation_config(args), args.seed)
-    else:
-        print(text)
+    fam = family_of(args)
+    net = _build_net(graph_provider(fam)(args.seed), args.method, args.r, args.p, args.seed)
     print(
         f"method={net.method} r={net.r} size={len(net.vertices)} "
         f"density={fmt(net.density)} verified={fmt(net.verified)}",
         file=sys.stderr,
     )
-    if not net.verified:
-        violation = {
-            "suite": "net",
-            "family": family_desc(args),
-            "seed": args.seed,
-            "params": {"method": args.method, "r": args.r, "p": args.p},
-            "row": json.loads(text),
-        }
-        return report_violations(args, [violation], args.out)
-    return 0
+    params = {"method": args.method, "r": args.r, "p": args.p}
+    return emit_record(args, "net", net.to_json(), net.verified, fam, args.seed, params)
 
 
 def cmd_local_net(args: argparse.Namespace) -> int:
-    g = single_graph(args, args.seed)
+    fam = family_of(args)
+    g = graph_provider(fam)(args.seed)
     if args.theory_params:
         tp = theory_params(g.delta, args.r)
         if not tp.practical:
@@ -366,143 +381,49 @@ def cmd_local_net(args: argparse.Namespace) -> int:
         p, big_r = args.p, args.R
     labels = LocalLabels.from_seed(g.n, args.seed)
     run = local_net(g, labels, p, big_r, args.r)
-    text = run.transcript_json()
-    if args.out:
-        write_text(args.out, text)
-        write_manifest(args.out, invocation_config(args), args.seed)
-    else:
-        print(text)
-    if not run.net.verified:
-        violation = {
-            "suite": "local-net",
-            "family": family_desc(args),
-            "seed": args.seed,
-            "params": {"p": p, "R": big_r, "r": args.r},
-            "row": json.loads(text),
-        }
-        return report_violations(args, [violation], args.out)
-    return 0
+    params = {"p": p, "R": big_r, "r": args.r}
+    return emit_record(
+        args, "local-net", run.transcript_json(), run.net.verified, fam, args.seed, params
+    )
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# check suites: one table drives `verify` and `sweep`
 
 
-def _violation(
-    suite: str, args: argparse.Namespace, trial: int, seed: int, params: dict, row: dict
-) -> dict:
-    return {
-        "suite": suite,
-        "family": family_desc(args),
-        "trial": trial,
-        "seed": seed,
-        "params": params,
-        "row": row,
-    }
+def _rad_drop(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+    methods = ["greedy-tree", "expander-random"] if p.method == "both" else [p.method]
+    rows = []
+    for method in methods:
+        net = _build_net(g, method, p.r, p.p, seed)
+        rep = net_removal_drop_check(g, net, p.r)
+        cells = [seed, g.n, method, rep.r, rep.net_size, rep.lam1_g, rep.lam1_h,
+                 rep.lhs, rep.rhs, rep.ok]
+        rows.append((cells, rep.ok))
+    return rows
 
 
-def cmd_verify_rad_drop(args: argparse.Namespace) -> int:
-    provider = graph_provider(args)
-    methods = ["greedy-tree", "expander-random"] if args.method == "both" else [args.method]
-
-    def one(t: int):
-        st = trial_seed(args.seed, t)
-        g = provider(st)
-        out = []
-        for method in methods:
-            net = _build_net(g, method, args.r, args.p, st)
-            rep = net_removal_drop_check(g, net, args.r)
-            out.append((st, g.n, method, net, rep))
-        return out
-
-    results = run_trials(one, args.trials, n_workers(args.workers))
-    header = ["trial", "seed", "n", "method", "r", "net_size", "lam1_g", "lam1_h", "lhs", "rhs", "ok"]
-    rows, violations = [], []
-    for t, group in enumerate(results):
-        for st, n, method, net, rep in group:
-            row = [t, st, n, method, rep.r, rep.net_size, rep.lam1_g, rep.lam1_h, rep.lhs, rep.rhs, rep.ok]
-            rows.append(row)
-            if not rep.ok:
-                violations.append(
-                    _violation(
-                        "rad-drop", args, t, st,
-                        {"r": args.r, "method": method, "p": args.p},
-                        dict(zip(header, [fmt(c) for c in row])),
-                    )
-                )
-    write_csv(args.out, header, rows)
-    if args.out:
-        write_manifest(args.out, invocation_config(args), args.seed)
-    return report_violations(args, violations, args.out)
+def _local_global(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+    radii = range(1, p.r_max + 1) if p.r is None else [p.r]
+    rows = []
+    for r in radii:
+        rep = local_global_check(g, r)
+        rows.append(([seed, g.n, rep.r, rep.lhs, rep.rhs, rep.slack, rep.ok], rep.ok))
+    return rows
 
 
-def cmd_verify_local_global(args: argparse.Namespace) -> int:
-    provider = graph_provider(args)
-    radii = list(range(1, args.r_max + 1)) if args.r is None else [args.r]
-
-    def one(t: int):
-        st = trial_seed(args.seed, t)
-        g = provider(st)
-        return [(st, g.n, local_global_check(g, r)) for r in radii]
-
-    results = run_trials(one, args.trials, n_workers(args.workers))
-    header = ["trial", "seed", "n", "r", "lhs", "rhs", "slack", "ok"]
-    rows, violations = [], []
-    for t, group in enumerate(results):
-        for st, n, rep in group:
-            row = [t, st, n, rep.r, rep.lhs, rep.rhs, rep.slack, rep.ok]
-            rows.append(row)
-            if not rep.ok:
-                violations.append(
-                    _violation(
-                        "local-global", args, t, st, {"r": rep.r},
-                        dict(zip(header, [fmt(c) for c in row])),
-                    )
-                )
-    write_csv(args.out, header, rows)
-    if args.out:
-        write_manifest(args.out, invocation_config(args), args.seed)
-    return report_violations(args, violations, args.out)
-
-
-def cmd_verify_interlace(args: argparse.Namespace) -> int:
-    provider = graph_provider(args)
-    modes = ["delete", "zero-rows-cols"] if args.mode == "both" else [args.mode]
-
-    def one(t: int):
-        st = trial_seed(args.seed, t)
-        g = provider(st)
-        size = min(args.u_size, g.n - 1)
-        picks = rng_for(st).choice(g.n, size=size, replace=False)
-        u = VertexSet.of(picks.tolist(), g.n)
-        return [(st, g.n, u, interlacing_check(g, u, mode)) for mode in modes]
-
-    results = run_trials(one, args.trials, n_workers(args.workers))
-    header = [
-        "trial", "seed", "n", "mode", "u_size",
-        "halfline_dev", "halfline_bound", "interval_dev", "interval_bound", "grid_size", "ok",
-    ]
-    rows, violations = [], []
-    for t, group in enumerate(results):
-        for st, n, u, rep in group:
-            row = [
-                t, st, n, rep.mode, rep.u_size,
-                rep.halfline_dev, rep.halfline_bound,
-                rep.interval_dev, rep.interval_bound, rep.grid_size, rep.ok,
-            ]
-            rows.append(row)
-            if not rep.ok:
-                violations.append(
-                    _violation(
-                        "interlace", args, t, st,
-                        {"mode": rep.mode, "u": list(u.ids)},
-                        dict(zip(header, [fmt(c) for c in row])),
-                    )
-                )
-    write_csv(args.out, header, rows)
-    if args.out:
-        write_manifest(args.out, invocation_config(args), args.seed)
-    return report_violations(args, violations, args.out)
+def _interlace(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+    size = min(p.u_size, g.n - 1)
+    picks = rng_for(seed).choice(g.n, size=size, replace=False)
+    u = VertexSet.of(picks.tolist(), g.n)
+    modes = ["delete", "zero-rows-cols"] if p.mode == "both" else [p.mode]
+    rows = []
+    for mode in modes:
+        rep = interlacing_check(g, u, mode)
+        cells = [seed, g.n, rep.mode, rep.u_size, rep.halfline_dev, rep.halfline_bound,
+                 rep.interval_dev, rep.interval_bound, rep.grid_size, rep.ok]
+        rows.append((cells, rep.ok))
+    return rows
 
 
 def _pick_x(rule: str, x_flag: float | None, spectrum: Spectrum, w_min: float) -> float:
@@ -520,212 +441,23 @@ def _pick_x(rule: str, x_flag: float | None, spectrum: Spectrum, w_min: float) -
     raise GraphError(f"unknown x rule {rule!r}")
 
 
-def cmd_verify_finite_param(args: argparse.Namespace) -> int:
-    provider = graph_provider(args)
-
-    def one(t: int):
-        st = trial_seed(args.seed, t)
-        g = provider(st)
-        spectrum = eigenvalues(g, cap=args.cap, compute_residual=False)
-        x = _pick_x(args.x_rule, args.x, spectrum, g.w_min)
-        theta = args.theta
-        if args.auto_rs:
-            sel = select_r_s(theta, g.delta_tilde)
-            if not sel.ok:
-                raise GraphError(f"schedule inadmissible: {sel.reason}")
-            r, s = sel.r, sel.s
-        else:
-            if args.r is None or args.s is None:
-                raise GraphError("finite-param needs --r and --s (or --auto-rs)")
-            r, s = args.r, args.s
-        net = _build_net(g, args.method, r, args.p, st)
-        rep = finite_param_check(g, x, theta, r, s, net, spectrum=spectrum)
-        return st, g.n, x, theta, r, s, net, rep
-
-    results = run_trials(one, args.trials, n_workers(args.workers))
-    header = [
-        "trial", "seed", "n", "x", "theta", "r", "s", "net_size",
-        "lhs", "rhs", "term_moment", "term_tail", "term_net", "ok",
-    ]
-    rows, violations = [], []
-    for t, (st, n, x, theta, r, s, net, rep) in enumerate(results):
-        row = [
-            t, st, n, x, theta, r, s, len(net.vertices),
-            rep.lhs, rep.rhs, rep.terms["moment"], rep.terms["tail"], rep.terms["net"], rep.ok,
-        ]
-        rows.append(row)
-        if not rep.ok:
-            violations.append(
-                _violation(
-                    "finite-param", args, t, st,
-                    {"x": x, "theta": theta, "r": r, "s": s, "method": args.method},
-                    dict(zip(header, [fmt(c) for c in row])),
-                )
-            )
-    write_csv(args.out, header, rows)
-    if args.out:
-        write_manifest(args.out, invocation_config(args), args.seed)
-    return report_violations(args, violations, args.out)
-
-
-def cmd_verify_thm(args: argparse.Namespace) -> int:
-    g = single_graph(args, args.seed)
-    spectrum = eigenvalues(g, cap=args.cap, compute_residual=False)
-    rep = thm_checker(g, args.variant, x=args.x, theta=args.theta, c=args.c, spectrum=spectrum)
-    text = rep.to_json()
-    if args.out:
-        write_text(args.out, text)
-        write_manifest(args.out, invocation_config(args), args.seed)
+def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+    spectrum = eigenvalues(g, cap=p.cap, compute_residual=False)
+    x = _pick_x(p.x_rule, p.x, spectrum, g.w_min)
+    if p.auto_rs:
+        sel = select_r_s(p.theta, g.delta_tilde)
+        if not sel.ok:
+            raise GraphError(f"schedule inadmissible: {sel.reason}")
+        r, s = sel.r, sel.s
     else:
-        print(text)
-    print(
-        f"variant={args.variant} lhs={fmt(rep.lhs)} rhs={fmt(rep.rhs)} "
-        f"rate={fmt(rep.rate)} implied_constant={fmt(rep.implied_constant)} ok={fmt(rep.ok)}",
-        file=sys.stderr,
-    )
-    if not rep.ok:
-        violation = _violation(
-            "thm", args, 0, args.seed,
-            {"variant": args.variant, "x": args.x, "theta": args.theta, "c": args.c},
-            json.loads(text),
-        )
-        return report_violations(args, [violation], args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# walks
-
-
-def cmd_walks_tree(args: argparse.Namespace) -> int:
-    series = tree_return_probs(args.d, args.N)
-    series_to_csv(series, args.out)
-    write_manifest(args.out, invocation_config(args), None)
-    return 0
-
-
-def cmd_walks_finite(args: argparse.Namespace) -> int:
-    g = single_graph(args, args.seed)
-    if args.kind == "srw":
-        series = return_probs_finite(g, args.origin, args.K)
-    else:
-        series = adjacency_moments(g, args.origin, args.K)
-    series_to_csv(series, args.out)
-    write_manifest(args.out, invocation_config(args), args.seed)
-    return 0
-
-
-def cmd_walks_fit(args: argparse.Namespace) -> int:
-    series = tree_return_probs(args.d, args.N)
-    fit = decay_fit(series, args.window)
-    record = {
-        "d": args.d,
-        "N": args.N,
-        "window": list(fit.window),
-        "rho_hat": fit.rho_hat,
-        "rho_true": 2.0 * (args.d - 1) ** 0.5,
-        "alpha_hat": fit.alpha_hat,
-        "const_hat": fit.const_hat,
-        "max_residual": fit.max_residual,
-        "note": fit.note,
-    }
-    text = json.dumps(record, sort_keys=True)
-    if args.out:
-        write_text(args.out, text)
-        write_manifest(args.out, invocation_config(args), None)
-    else:
-        print(text)
-    return 0
-
-
-def cmd_walks_roundtrip(args: argparse.Namespace) -> int:
-    rep = return_decay_roundtrip(
-        args.d, theta_grid=args.theta_grid, N=args.N, window=args.window
-    )
-    record = asdict(rep)
-    record["theta_grid"] = list(rep.theta_grid)
-    record["window"] = list(rep.window)
-    text = json.dumps(record, sort_keys=True)
-    if args.out:
-        write_text(args.out, text)
-        write_manifest(args.out, invocation_config(args), None)
-    else:
-        print(text)
-    if not rep.ok:
-        violation = {
-            "suite": "walks-roundtrip",
-            "family": {"tree-degree": args.d},
-            "seed": None,
-            "params": {"N": args.N, "window": list(args.window)},
-            "row": json.loads(text),
-        }
-        return report_violations(args, [violation], args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep: a suite name, the families it runs over, parameter grids,
-    a master seed, output locations, and tolerance overrides."""
-
-    suite: str
-    seed: int = 0
-    families: tuple[dict, ...] = ()
-    grid: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str = "sweep-out"
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise GraphError(f"unknown config keys: {sorted(unknown)}")
-        if "suite" not in obj:
-            raise GraphError("config needs a 'suite' key")
-        families = tuple(obj.get("families", ()))
-        return cls(
-            suite=obj["suite"],
-            seed=int(obj.get("seed", 0)),
-            families=families,
-            grid=dict(obj.get("grid", {})),
-            tolerances=dict(obj.get("tolerances", {})),
-            out_dir=obj.get("out_dir", "sweep-out"),
-        )
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["families"] = [dict(f) for f in self.families]
-        return out
-
-
-def _spec_from_dict(obj: dict, seed: int) -> FamilySpec:
-    dims = obj.get("dims")
-    return FamilySpec(
-        family=obj["family"],
-        n=obj.get("n"),
-        d=obj.get("d"),
-        depth=obj.get("depth"),
-        dims=tuple(dims) if dims is not None else None,
-        seed=obj.get("seed", seed),
-    )
-
-
-def _sweep_provider(fam: dict, cfg_seed: int) -> Callable[[int], WeightedGraph]:
-    if fam.get("family") == "random-regular" and "seed" not in fam:
-        return lambda seed: generate(_spec_from_dict(fam, seed))
-    g = generate(_spec_from_dict(fam, cfg_seed))
-    return lambda seed: g
-
-
-def _ok_with_tol(lhs: float, rhs: float, default_ok: bool, tol: float | None) -> bool:
-    if tol is None:
-        return default_ok
-    return lhs <= rhs + tol
+        if p.r is None or p.s is None:
+            raise GraphError("finite-param needs --r and --s (or --auto-rs)")
+        r, s = p.r, p.s
+    net = _build_net(g, p.method, r, p.p, seed)
+    rep = finite_param_check(g, x, p.theta, r, s, net, spectrum=spectrum)
+    cells = [seed, g.n, x, p.theta, r, s, len(net.vertices), rep.lhs, rep.rhs,
+             rep.terms["moment"], rep.terms["tail"], rep.terms["net"], rep.ok]
+    return [(cells, rep.ok)]
 
 
 # The second-eig preset theta = 10 / log_{delta_tilde} n exceeds 1 on small or
@@ -754,125 +486,370 @@ def en_route_finite_param(
     return theta_fp, r, s, rep
 
 
-def _sweep_second_eig(
-    cfg: ExperimentConfig, workers: int
+def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+    spectrum = eigenvalues(g, cap=p.cap, compute_residual=False)
+    rep = thm_checker(g, "second-eig", spectrum=spectrum)
+    x, theta = rep.params["x"], rep.params["theta"]
+    theta_fp, r, s, fp = en_route_finite_param(g, spectrum, x, theta)
+    cells = [g.n, seed, g.delta_tilde, x, theta, rep.lhs, rep.rhs, rep.rate,
+             rep.implied_constant, rep.ok, theta_fp, r, s, fp.lhs, fp.rhs, fp.ok]
+    return [(cells, rep.ok and fp.ok)]
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A check suite, run by ``verify <name>`` and by ``sweep``.
+
+    ``params`` maps each parameter to the argparse keywords of its verify
+    flag (``r_max`` is ``--r-max``); the names are also the sweep grid keys.
+    ``trial(g, seed, p)`` runs one trial on one graph and returns one
+    ``(cells, ok)`` per row, the cells matching ``header``. A suite with
+    ``trials`` gets a leading ``trial`` column; a sweep puts ``family`` in
+    front of everything. A suite with ``lhs`` and ``rhs`` columns accepts a
+    tolerance, which can only tighten its verdict.
+    """
+
+    params: dict[str, dict]
+    header: tuple[str, ...]
+    trial: Callable[[WeightedGraph, int, argparse.Namespace], list[tuple[list, bool]]]
+
+
+TRIALS = {"type": int, "default": 1}
+CAP = {"type": int, "default": DEFAULT_SOLVER_CAP}
+NET_METHODS = ["greedy-tree", "expander-random"]
+
+SUITES: dict[str, Suite] = {
+    "rad-drop": Suite(
+        params={
+            "r": {"type": int, "required": True},
+            "method": {"choices": [*NET_METHODS, "both"], "default": "greedy-tree"},
+            "p": {"type": float},
+            "trials": TRIALS,
+        },
+        header=("seed", "n", "method", "r", "net_size", "lam1_g", "lam1_h", "lhs", "rhs", "ok"),
+        trial=_rad_drop,
+    ),
+    "local-global": Suite(
+        params={
+            "r": {"type": int, "help": "single radius"},
+            "r_max": {"type": int, "default": 3, "help": "radii 1..r_max when --r is absent"},
+            "trials": TRIALS,
+        },
+        header=("seed", "n", "r", "lhs", "rhs", "slack", "ok"),
+        trial=_local_global,
+    ),
+    "interlace": Suite(
+        params={
+            "u_size": {"type": int, "required": True},
+            "mode": {"choices": ["delete", "zero-rows-cols", "both"], "default": "both"},
+            "trials": TRIALS,
+        },
+        header=("seed", "n", "mode", "u_size", "halfline_dev", "halfline_bound",
+                "interval_dev", "interval_bound", "grid_size", "ok"),
+        trial=_interlace,
+    ),
+    "finite-param": Suite(
+        params={
+            "x": {"type": float},
+            "x_rule": {"choices": ["value", "lambda2", "half-lambda1"], "default": "lambda2"},
+            "theta": {"type": float, "required": True},
+            "r": {"type": int},
+            "s": {"type": int},
+            "auto_rs": {"action": "store_true", "help": "pick (r, s) from the schedule"},
+            "method": {"choices": NET_METHODS, "default": "greedy-tree"},
+            "p": {"type": float},
+            "cap": CAP,
+            "trials": TRIALS,
+        },
+        header=("seed", "n", "x", "theta", "r", "s", "net_size", "lhs", "rhs",
+                "term_moment", "term_tail", "term_net", "ok"),
+        trial=_finite_param,
+    ),
+    # The x = lambda2 preset over a grid of n, with the window bound checked
+    # en route; `verify thm --variant second-eig` checks a single instance.
+    "second-eig": Suite(
+        params={"cap": CAP},
+        header=("n", "seed", "delta_tilde", "x", "theta", "lhs", "rhs", "rate",
+                "implied_constant", "ok", "fp_theta", "fp_r", "fp_s", "fp_lhs",
+                "fp_rhs", "fp_ok"),
+        trial=_second_eig,
+    ),
+}
+
+
+def suite_rows(
+    name: str,
+    cases: list[tuple[dict, int, int, Callable[[int], WeightedGraph]]],
+    p: argparse.Namespace,
+    workers: int,
+    tol: float | None = None,
+    family_column: bool = False,
 ) -> tuple[list[str], list[list], list[dict]]:
-    header = [
-        "family", "n", "seed", "delta_tilde", "x", "theta",
-        "lhs", "rhs", "rate", "implied_constant", "ok",
-        "fp_theta", "fp_r", "fp_s", "fp_lhs", "fp_rhs", "fp_ok",
+    """Header, rows and violations of one suite.
+
+    Each case is (families entry, trial index, trial seed, graph provider);
+    it runs the suite's trial once for each combination of the list-valued
+    parameters in ``p``. A case drops its provider from ``cases`` once it
+    ran, so that a graph shared by several trials is freed after the last
+    of them. A tolerance makes a row's verdict ``ok and lhs <= rhs + tol``.
+    """
+    suite = SUITES[name]
+    keys = list(vars(p))
+    combos = [
+        argparse.Namespace(**dict(zip(keys, values)))
+        for values in itertools.product(
+            *(v if isinstance(v, list) else [v] for v in vars(p).values())
+        )
     ]
+    with_trial = "trials" in keys
+    header = (["family"] if family_column else []) + (["trial"] if with_trial else [])
+    header += suite.header
+    if tol is not None:
+        i_lhs, i_rhs, i_ok = (suite.header.index(c) for c in ("lhs", "rhs", "ok"))
+
+    def one(i: int) -> list:
+        fam, t, seed, graph = cases[i]
+        cases[i] = (fam, t, seed, None)
+        g = graph(seed)
+        return [(q, cells, ok) for q in combos for cells, ok in suite.trial(g, seed, q)]
+
     rows: list[list] = []
     violations: list[dict] = []
-    sizes = cfg.grid.get("n", [])
-    cap = int(cfg.grid.get("cap", DEFAULT_SOLVER_CAP))
-    with_fp = bool(cfg.grid.get("finite_param", True))
-    jobs = [(fam, n) for fam in cfg.families for n in sizes]
-
-    def one(idx: int):
-        fam, n = jobs[idx]
-        st = trial_seed(cfg.seed, idx)
-        spec = _spec_from_dict({**fam, "n": n}, st)
-        g = generate(spec)
-        spectrum = eigenvalues(g, cap=cap, compute_residual=False)
-        rep = thm_checker(g, "second-eig", spectrum=spectrum)
-        fp = None
-        if with_fp:
-            fp = en_route_finite_param(g, spectrum, rep.params["x"], rep.params["theta"])
-        return spec, st, g.delta_tilde, rep, fp
-
-    results = run_trials(one, len(jobs), workers)
-    for idx, (spec, st, dt, rep, fp) in enumerate(results):
-        row = [
-            spec.family, spec.n, st, dt,
-            rep.params["x"], rep.params["theta"],
-            rep.lhs, rep.rhs, rep.rate, rep.implied_constant, rep.ok,
-        ]
-        if fp is None:
-            row += ["", "", "", "", "", ""]
-            fp_ok = True
-        else:
-            theta_fp, r, s, fp_rep = fp
-            row += [theta_fp, r, s, fp_rep.lhs, fp_rep.rhs, fp_rep.ok]
-            fp_ok = fp_rep.ok
-        rows.append(row)
-        if not rep.ok or not fp_ok:
-            violations.append(
-                {
-                    "suite": "second-eig",
-                    "family": {"family": spec.family, "n": spec.n, "d": spec.d, "seed": spec.seed},
-                    "trial": idx,
-                    "seed": st,
-                    "params": {"variant": "second-eig"},
-                    "row": dict(zip(header, [fmt(c) for c in row])),
-                }
-            )
+    for (fam, t, seed, _), group in zip(cases, run_trials(one, len(cases), workers)):
+        for q, cells, ok in group:
+            if tol is not None and not cells[i_lhs] <= cells[i_rhs] + tol:
+                cells[i_ok] = ok = False
+            row = ([fam["family"]] if family_column else []) + ([t] if with_trial else [])
+            row += cells
+            rows.append(row)
+            if not ok:
+                fields = dict(zip(header, (fmt(c) for c in row)))
+                violations.append(violation(name, fam, t, seed, vars(q), fields))
     return header, rows, violations
 
 
-def _sweep_trial_suite(
+def cmd_verify(args: argparse.Namespace) -> int:
+    suite = SUITES[args.suite]
+    p = argparse.Namespace(**{key: getattr(args, key) for key in suite.params})
+    fam = family_of(args)
+    graph = graph_provider(fam)
+    cases = [(fam, t, trial_seed(args.seed, t), graph) for t in range(args.trials)]
+    header, rows, violations = suite_rows(args.suite, cases, p, n_workers(args.workers))
+    emit(csv_text(header, rows), args.out, invocation_config(args), args.seed)
+    return report_violations(violations, args.out)
+
+
+def cmd_verify_thm(args: argparse.Namespace) -> int:
+    fam = family_of(args)
+    g = graph_provider(fam)(args.seed)
+    spectrum = eigenvalues(g, cap=args.cap, compute_residual=False)
+    rep = thm_checker(g, args.variant, x=args.x, theta=args.theta, c=args.c, spectrum=spectrum)
+    print(
+        f"variant={args.variant} lhs={fmt(rep.lhs)} rhs={fmt(rep.rhs)} "
+        f"rate={fmt(rep.rate)} implied_constant={fmt(rep.implied_constant)} ok={fmt(rep.ok)}",
+        file=sys.stderr,
+    )
+    params = {"variant": args.variant, "x": args.x, "theta": args.theta, "c": args.c}
+    return emit_record(args, "thm", rep.to_json(), rep.ok, fam, args.seed, params)
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+
+def cmd_walks_tree(args: argparse.Namespace) -> int:
+    series = tree_return_probs(args.d, args.N)
+    series_to_csv(series, args.out)
+    write_manifest(args.out, invocation_config(args), None)
+    return 0
+
+
+def cmd_walks_finite(args: argparse.Namespace) -> int:
+    g = graph_provider(family_of(args))(args.seed)
+    if args.kind == "srw":
+        series = return_probs_finite(g, args.origin, args.K)
+    else:
+        series = adjacency_moments(g, args.origin, args.K)
+    series_to_csv(series, args.out)
+    write_manifest(args.out, invocation_config(args), args.seed)
+    return 0
+
+
+def cmd_walks_fit(args: argparse.Namespace) -> int:
+    series = tree_return_probs(args.d, args.N)
+    fit = decay_fit(series, args.window)
+    record = {
+        "d": args.d,
+        "N": args.N,
+        "window": list(fit.window),
+        "rho_hat": fit.rho_hat,
+        "rho_true": 2.0 * (args.d - 1) ** 0.5,
+        "alpha_hat": fit.alpha_hat,
+        "const_hat": fit.const_hat,
+        "max_residual": fit.max_residual,
+        "note": fit.note,
+    }
+    emit(json.dumps(record, sort_keys=True), args.out, invocation_config(args), None)
+    return 0
+
+
+def cmd_walks_roundtrip(args: argparse.Namespace) -> int:
+    rep = return_decay_roundtrip(
+        args.d, theta_grid=args.theta_grid, N=args.N, window=args.window
+    )
+    record = asdict(rep)
+    record["theta_grid"] = list(rep.theta_grid)
+    record["window"] = list(rep.window)
+    params = {"N": args.N, "window": list(args.window)}
+    return emit_record(
+        args, "walks-roundtrip", json.dumps(record, sort_keys=True), rep.ok,
+        {"tree-degree": args.d}, None, params,
+    )
+
+
+# ---------------------------------------------------------------------------
+# sweep
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One sweep: a suite name, the families it runs over, parameter grids,
+    a master seed, output locations, and tolerance overrides."""
+
+    suite: str
+    seed: int = 0
+    families: tuple[dict, ...] = ()
+    grid: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
+    out_dir: str = "sweep-out"
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise GraphError("a sweep config is a JSON object")
+        known = {f for f in cls.__dataclass_fields__}
+        unknown = set(obj) - known
+        if unknown:
+            raise GraphError(f"unknown config keys: {sorted(unknown)}")
+        if "suite" not in obj:
+            raise GraphError("config needs a 'suite' key")
+        try:
+            return cls(
+                suite=obj["suite"],
+                seed=int(obj.get("seed", 0)),
+                families=tuple(obj.get("families", ())),
+                grid=dict(obj.get("grid", {})),
+                tolerances=dict(obj.get("tolerances", {})),
+                out_dir=obj.get("out_dir", "sweep-out"),
+            )
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"malformed sweep config: {exc}") from None
+
+    def to_dict(self) -> dict:
+        out = asdict(self)
+        out["families"] = [dict(f) for f in self.families]
+        return out
+
+
+# Sweep defaults that differ from the verify flags; configs that leave these
+# keys out keep the rows they have always produced.
+SWEEP_DEFAULTS = {"trials": 10, "r": 1}
+
+
+def _grid_value(key: str, kw: dict, value: Any) -> Any:
+    """A grid value checked and converted as the verify flag would be."""
+    if value is None:
+        if kw.get("required"):
+            raise GraphError(f"the sweep grid needs {key!r}")
+        return None
+    try:
+        if kw.get("action") == "store_true":
+            if not isinstance(value, bool):
+                raise ValueError
+        elif "type" in kw:
+            value = kw["type"](value)
+    except (TypeError, ValueError):
+        raise GraphError(f"grid {key!r}: bad value {value!r}") from None
+    if "choices" in kw and value not in kw["choices"]:
+        raise GraphError(f"grid {key!r}: {value!r} is not one of {kw['choices']}")
+    return value
+
+
+def _grid_params(suite: Suite, grid: dict) -> argparse.Namespace:
+    """The suite's parameters from a sweep grid; a list sweeps over its values."""
+    unknown = set(grid) - set(suite.params) - {"n"}
+    if unknown:
+        raise GraphError(f"unknown grid keys {sorted(unknown)}; this suite takes "
+                         f"{sorted([*suite.params, 'n'])}")
+    values = {}
+    for key, kw in suite.params.items():
+        value = grid.get(key, SWEEP_DEFAULTS.get(key, kw.get("default")))
+        if isinstance(value, list) and key != "trials":  # the trial count is not swept
+            values[key] = [_grid_value(key, kw, v) for v in value]
+        else:
+            values[key] = _grid_value(key, kw, value)
+    return argparse.Namespace(**values)
+
+
+def _tolerance(cfg: ExperimentConfig) -> float | None:
+    """The tolerance for the config's suite. A tolerance can only tighten a
+    check, so each must be <= 0 and name a suite with lhs and rhs columns."""
+    for name, tol in cfg.tolerances.items():
+        header = SUITES[name].header if name in SUITES else ()
+        if "lhs" not in header or "rhs" not in header:
+            raise GraphError(f"tolerance for {name!r}: no suite with lhs and rhs by that name")
+        if not isinstance(tol, (int, float)) or not tol <= 0:
+            raise GraphError(
+                f"tolerance for {name!r} is {tol!r}: a tolerance must be <= 0, "
+                "it can only tighten a check"
+            )
+    return cfg.tolerances.get(cfg.suite)
+
+
+def sweep_rows(
     cfg: ExperimentConfig, workers: int
 ) -> tuple[list[str], list[list], list[dict]]:
-    suite = cfg.suite
-    trials = int(cfg.grid.get("trials", 10))
-    radii = [int(r) for r in cfg.grid.get("r", [1])]
-    p = cfg.grid.get("p")
-    method = cfg.grid.get("method", "greedy-tree")
-    tol = cfg.tolerances.get(suite)
-    header_by_suite = {
-        "rad-drop": ["family", "trial", "seed", "n", "method", "r",
-                     "net_size", "lam1_g", "lam1_h", "lhs", "rhs", "ok"],
-        "local-global": ["family", "trial", "seed", "n", "r", "lhs", "rhs", "slack", "ok"],
-    }
-    if suite not in header_by_suite:
-        raise GraphError(f"unknown sweep suite {suite!r}")
-    header = header_by_suite[suite]
-    rows: list[list] = []
-    violations: list[dict] = []
+    """Header, rows and violations of a sweep.
+
+    Every families entry is taken at every grid ``n`` when the grid has one.
+    A suite with trials runs them on each entry, trial t seeded by
+    ``trial_seed(cfg.seed, t)``; one without (second-eig) runs entry i once,
+    seeded by ``trial_seed(cfg.seed, i)``.
+    """
+    if cfg.suite not in SUITES:
+        raise GraphError(f"unknown sweep suite {cfg.suite!r}; choose from {sorted(SUITES)}")
+    p = _grid_params(SUITES[cfg.suite], cfg.grid)
+    tol = _tolerance(cfg)
+    keys = set(FamilySpec.__dataclass_fields__)
     for fam in cfg.families:
-        provider = _sweep_provider(fam, cfg.seed)
-        fam_name = fam.get("family", "?")
-
-        def one(t: int, provider=provider):
-            st = trial_seed(cfg.seed, t)
-            g = provider(st)
-            group = []
-            for r in radii:
-                if suite == "rad-drop":
-                    net = _build_net(g, method, r, p, st)
-                    group.append((st, g.n, r, net, net_removal_drop_check(g, net, r)))
-                else:
-                    group.append((st, g.n, r, None, local_global_check(g, r)))
-            return group
-
-        results = run_trials(one, trials, workers)
-        for t, group in enumerate(results):
-            for st, n, r, net, rep in group:
-                if suite == "rad-drop":
-                    ok = _ok_with_tol(rep.lhs, rep.rhs, rep.ok, tol)
-                    row = [fam_name, t, st, n, method, r, rep.net_size,
-                           rep.lam1_g, rep.lam1_h, rep.lhs, rep.rhs, ok]
-                else:
-                    ok = _ok_with_tol(rep.lhs, rep.rhs, rep.ok, tol)
-                    row = [fam_name, t, st, n, r, rep.lhs, rep.rhs, rep.slack, ok]
-                rows.append(row)
-                if not ok:
-                    violations.append(
-                        {
-                            "suite": suite,
-                            "family": dict(fam),
-                            "trial": t,
-                            "seed": st,
-                            "params": {"r": r, "method": method, "p": p},
-                            "row": dict(zip(header, [fmt(c) for c in row])),
-                        }
-                    )
-    return header, rows, violations
+        if not isinstance(fam, dict) or "family" not in fam or set(fam) - keys:
+            raise GraphError(
+                f"families entry {fam!r}: needs 'family' and takes only {sorted(keys)}"
+            )
+    families = list(cfg.families)
+    if "n" in cfg.grid:
+        sizes = cfg.grid["n"] if isinstance(cfg.grid["n"], list) else [cfg.grid["n"]]
+        sizes = [_grid_value("n", {"type": int}, n) for n in sizes]
+        families = [{**fam, "n": n} for fam in families for n in sizes]
+    if hasattr(p, "trials"):
+        cases = []
+        for fam in families:
+            graph = graph_provider(fam)
+            cases += [(fam, t, trial_seed(cfg.seed, t), graph) for t in range(p.trials)]
+    else:
+        cases = [
+            (fam, i, trial_seed(cfg.seed, i), graph_provider(fam))
+            for i, fam in enumerate(families)
+        ]
+    return suite_rows(cfg.suite, cases, p, workers, tol, family_column=True)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"{args.config} is not valid JSON: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     overrides = {}
     if args.seed is not None:
@@ -884,18 +861,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if overrides:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
 
-    workers = n_workers(args.workers)
-    if cfg.suite == "second-eig":
-        header, rows, violations = _sweep_second_eig(cfg, workers)
-    else:
-        header, rows, violations = _sweep_trial_suite(cfg, workers)
-
+    header, rows, violations = sweep_rows(cfg, n_workers(args.workers))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"{cfg.suite}.csv")
-    write_csv(out_path, header, rows)
-    write_manifest(out_path, cfg.to_dict(), cfg.seed)
+    emit(csv_text(header, rows), out_path, cfg.to_dict(), cfg.seed)
     print(f"wrote {out_path}: {len(rows)} rows")
-    return report_violations(args, violations, out_path)
+    return report_violations(violations, out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -954,54 +925,20 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="inequality verification suites")
     vsub = ver.add_subparsers(dest="suite", required=True)
 
-    sp = vsub.add_parser("rad-drop", help="net removal drops the top eigenvalue")
-    add_graph_args(sp)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--method", choices=["greedy-tree", "expander-random", "both"],
-                    default="greedy-tree")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify_rad_drop)
-
-    sp = vsub.add_parser("local-global", help="trace of A^{2r} against ball tops")
-    add_graph_args(sp)
-    sp.add_argument("--r", type=int, help="single radius")
-    sp.add_argument("--r-max", type=int, default=3, help="radii 1..r_max when --r is absent")
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify_local_global)
-
-    sp = vsub.add_parser("interlace", help="eigenvalue count stability under vertex removal")
-    add_graph_args(sp)
-    sp.add_argument("--u-size", type=int, required=True)
-    sp.add_argument("--mode", choices=["delete", "zero-rows-cols", "both"], default="both")
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify_interlace)
-
-    sp = vsub.add_parser("finite-param", help="finite-parameter window bound")
-    add_graph_args(sp)
-    sp.add_argument("--x", type=float)
-    sp.add_argument("--x-rule", choices=["value", "lambda2", "half-lambda1"], default="lambda2")
-    sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--auto-rs", action="store_true", help="pick (r, s) from the schedule")
-    sp.add_argument("--method", choices=["greedy-tree", "expander-random"], default="greedy-tree")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--cap", type=int, default=DEFAULT_SOLVER_CAP)
-    sp.add_argument("--trials", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_verify_finite_param)
+    for name, help_text in (
+        ("rad-drop", "net removal drops the top eigenvalue"),
+        ("local-global", "trace of A^{2r} against ball tops"),
+        ("interlace", "eigenvalue count stability under vertex removal"),
+        ("finite-param", "finite-parameter window bound"),
+    ):
+        sp = vsub.add_parser(name, help=help_text)
+        add_graph_args(sp)
+        for key, kw in SUITES[name].params.items():
+            sp.add_argument("--" + key.replace("_", "-"), **kw)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--workers", type=int)
+        sp.add_argument("--out")
+        sp.set_defaults(func=cmd_verify)
 
     sp = vsub.add_parser("thm", help="theorem-shaped bound with measured implied constant")
     add_graph_args(sp)

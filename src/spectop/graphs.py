@@ -34,7 +34,6 @@ __all__ = [
     "normalized_weighting",
     "distances",
     "all_pairs_distances",
-    "eccentricity_from",
     "induced_subgraph",
     "delete_vertices",
     "ball",
@@ -318,14 +317,6 @@ def all_pairs_distances(g: WeightedGraph) -> np.ndarray:
     finite = np.isfinite(dm)
     out[finite] = dm[finite].astype(np.int64)
     return out
-
-
-def eccentricity_from(g: WeightedGraph, sources: Iterable[int]) -> int:
-    """Largest hop distance from the source set; -1 if something is unreachable."""
-    d = distances(g, sources)
-    if (d == UNREACHABLE).any():
-        return UNREACHABLE
-    return int(d.max()) if g.n else 0
 
 
 def induced_subgraph(

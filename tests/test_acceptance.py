@@ -15,7 +15,7 @@ import pytest
 from conftest import random_connected_graph
 
 from spectop.bounds import finite_param_check, interlacing_check
-from spectop.cli import ExperimentConfig, _sweep_second_eig, main, n_workers
+from spectop.cli import ExperimentConfig, main, n_workers, sweep_rows
 from spectop.families import FamilySpec, generate
 from spectop.graphs import VertexSet, all_pairs_distances, distances, UNREACHABLE
 from spectop.localsim import (
@@ -364,7 +364,7 @@ def test_criterion_11_second_eig_sweep():
         families=({"family": "cycle"}, {"family": "random-regular", "d": 4}),
         grid={"n": [2**k for k in range(8, 13)]},
     )
-    header, rows, violations = _sweep_second_eig(cfg, n_workers(None))
+    header, rows, violations = sweep_rows(cfg, n_workers(None))
     i_imp = header.index("implied_constant")
     i_fp = header.index("fp_ok")
     implied = [row[i_imp] for row in rows]

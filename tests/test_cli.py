@@ -172,6 +172,14 @@ def test_thm_second_eig_report(tmp_path, monkeypatch):
 # sweep
 
 
+SECOND_EIG_CFG = {
+    "suite": "second-eig",
+    "seed": 9,
+    "families": [{"family": "cycle"}, {"family": "random-regular", "d": 4}],
+    "grid": {"n": [32, 64]},
+}
+
+
 def sweep_config(tmp_path, **overrides):
     cfg = {
         "suite": "rad-drop",
@@ -217,6 +225,136 @@ def test_sweep_rejects_unknown_keys(tmp_path, monkeypatch):
     assert run(["sweep", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"rad-drop": 1e9},  # would pass every row
+        {"rad-drop": 0.5},
+        {"interlace": -1.0},  # no lhs/rhs to tighten
+        {"no-such-suite": -1.0},
+    ],
+)
+def test_sweep_tolerance_cannot_loosen(tmp_path, monkeypatch, capsys, tolerances):
+    monkeypatch.chdir(tmp_path)
+    rc = run(["sweep", "--config", sweep_config(tmp_path, tolerances=tolerances)])
+    assert rc == 2
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "sweep-out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"suite": "rad-drop", "seed": 5,',  # invalid JSON
+        json.dumps({"suite": "rad-drop", "families": [{"n": 20}], "grid": {"r": [1]}}),
+        json.dumps({"suite": "rad-drop", "families": [{"family": "cycle", "n": 20}],
+                    "grid": {"trails": 2, "r": [1]}}),
+        json.dumps({"suite": "second-eig", "families": [{"family": "cycle"}],
+                    "grid": {"n": [32], "finite_param": False}}),
+        json.dumps({"suite": "rad-drop", "families": [{"family": "cycle", "n": 20}],
+                    "grid": [1]}),
+    ],
+    ids=["invalid-json", "family-missing", "unknown-grid-key", "finite-param-knob",
+         "grid-not-object"],
+)
+def test_sweep_malformed_config_exits_2(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    assert run(["sweep", "--config", "cfg.json"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep-out").exists()
+
+
+@pytest.mark.parametrize(
+    "suite, grid, header",
+    [
+        ("interlace", {"u_size": 3, "trials": 2},
+         "family,trial,seed,n,mode,u_size,halfline_dev,halfline_bound,"
+         "interval_dev,interval_bound,grid_size,ok"),
+        ("finite-param", {"theta": 0.3, "r": 1, "s": [2, 3], "trials": 2},
+         "family,trial,seed,n,x,theta,r,s,net_size,lhs,rhs,"
+         "term_moment,term_tail,term_net,ok"),
+    ],
+    ids=["interlace", "finite-param"],
+)
+def test_sweep_runs_every_verify_suite(tmp_path, monkeypatch, suite, grid, header):
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--config", sweep_config(tmp_path, suite=suite, grid=grid)]) == 0
+    lines = (tmp_path / "sweep-out" / f"{suite}.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + 2 * 2
+    assert all(line.startswith("cycle,") and line.endswith(",true") for line in lines[1:])
+
+
+# Outputs pinned across versions: (argv, output, config_sha256, CSV header,
+# seed column). A change to any of them breaks the replay of earlier runs.
+SEEDS_11 = ["1926383459", "592467769"]  # trial seeds 0 and 1 of master seed 11
+SEEDS_5 = ["16823399", "3796490668"]
+PINNED = [
+    (["verify", "rad-drop", "--family", "cycle", "--n", "40", "--r", "2",
+      "--method", "both", "--p", "0.3", "--trials", "2", "--seed", "11", "--out", "out.csv"],
+     "out.csv", "02396f68b79c9b852e2267900b997480bde69005170d3fca783e9619d9d1e469",
+     "trial,seed,n,method,r,net_size,lam1_g,lam1_h,lhs,rhs,ok",
+     [s for s in SEEDS_11 for _ in range(2)]),
+    (["verify", "local-global", "--family", "cycle", "--n", "24", "--r-max", "2",
+      "--trials", "2", "--seed", "11", "--out", "out.csv"],
+     "out.csv", "e9ef8a3673102161b840b28c5da6082d65725adcd23e927a85a69de68606d178",
+     "trial,seed,n,r,lhs,rhs,slack,ok",
+     [s for s in SEEDS_11 for _ in range(2)]),
+    (["verify", "interlace", "--family", "cycle", "--n", "20", "--u-size", "4",
+      "--trials", "2", "--seed", "11", "--out", "out.csv"],
+     "out.csv", "f9b3c87fdfb56005e8a93314c586b757f21289f21a8278b7316e6845d1b46b01",
+     "trial,seed,n,mode,u_size,halfline_dev,halfline_bound,interval_dev,"
+     "interval_bound,grid_size,ok",
+     [s for s in SEEDS_11 for _ in range(2)]),
+    (["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "0.4",
+      "--r", "1", "--s", "3", "--trials", "2", "--seed", "11", "--out", "out.csv"],
+     "out.csv", "deaec5043814708d72cbe047be69b0560abcb1e911783018a4a326cbde15f855",
+     "trial,seed,n,x,theta,r,s,net_size,lhs,rhs,term_moment,term_tail,term_net,ok",
+     SEEDS_11),
+    (["verify", "thm", "--variant", "second-eig", "--family", "cycle", "--n", "64",
+      "--seed", "11", "--out", "out.json"],
+     "out.json", "64eecb06aead5bdf9bbdff2352118794ffbda3135175f0fab14f80ef5e28bb2d",
+     None, None),
+    (["sweep", "--config", "cfg.json"],
+     "sweep-out/rad-drop.csv",
+     "3c2c49d164fcf021772f29336934c36d0f0304c996b5de04dce11675e6f9b3a3",
+     "family,trial,seed,n,method,r,net_size,lam1_g,lam1_h,lhs,rhs,ok",
+     [s for s in SEEDS_5 for _ in range(2)]),
+    (["sweep", "--config", "cfg.json", "--suite", "local-global"],
+     "sweep-out/local-global.csv",
+     "63688e062e30eff8ae4ad6f3186f9a07213424047df36561ca17130fdd5d938a",
+     "family,trial,seed,n,r,lhs,rhs,slack,ok",
+     [s for s in SEEDS_5 for _ in range(2)]),
+    (["sweep", "--config", "second-eig.json"],
+     "sweep-out/second-eig.csv",
+     "ac48c78567e12ef6a5ef392e91c87bdb237c04686c3ab82dd8e28762c24658c9",
+     "family,n,seed,delta_tilde,x,theta,lhs,rhs,rate,implied_constant,ok,"
+     "fp_theta,fp_r,fp_s,fp_lhs,fp_rhs,fp_ok",
+     ["3225285948", "3933992529", "302313366", "2967464816"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, out, sha, header, seeds", PINNED,
+    ids=[f"verify-{suite}" for suite in ("rad-drop", "local-global", "interlace", "finite-param",
+                                         "thm")]
+    + [f"sweep-{suite}" for suite in ("rad-drop", "local-global", "second-eig")],
+)
+def test_outputs_pinned(tmp_path, monkeypatch, argv, out, sha, header, seeds):
+    monkeypatch.chdir(tmp_path)
+    sweep_config(tmp_path)
+    (tmp_path / "second-eig.json").write_text(json.dumps(SECOND_EIG_CFG))
+    assert run(argv) == 0
+    man = json.loads((tmp_path / (out + ".manifest.json")).read_text())
+    assert man["config_sha256"] == sha
+    if header is not None:
+        lines = (tmp_path / out).read_text().splitlines()
+        assert lines[0] == header
+        i = header.split(",").index("seed")
+        assert [line.split(",")[i] for line in lines[1:]] == seeds
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -237,13 +375,7 @@ def run_battery(root, monkeypatch, workers):
     monkeypatch.chdir(root)
     for argv in BATTERY:
         assert run(list(argv)) == 0
-    cfg = {
-        "suite": "second-eig",
-        "seed": 9,
-        "families": [{"family": "cycle"}, {"family": "random-regular", "d": 4}],
-        "grid": {"n": [32, 64]},
-    }
-    (root / "cfg.json").write_text(json.dumps(cfg, sort_keys=True))
+    (root / "cfg.json").write_text(json.dumps(SECOND_EIG_CFG, sort_keys=True))
     assert run(["sweep", "--config", "cfg.json"]) == 0
     out = {}
     for p in sorted(root.rglob("*")):
