@@ -7,7 +7,7 @@ tail mass delta_top above x, and degree cap Delta,
     mu[(1-theta) x, x]  <=  (1-theta)^{-2s} (1 - (w_min/x)^{2r})^{s/r}
                             + 2 delta_top Delta^{2(s+2)} + 2 eps_net.
 
-``finite_param_check`` measures the left side on an actual spectrum and
+``finite_param_check`` measures the left side by eigenvalue counts and
 evaluates the right side from an actual net.  ``thm_checker`` wires in the
 parameter schedules behind the headline rates (1/log(1/theta) in general, a
 power of theta on expanders) and reports the implied constant, never
@@ -35,6 +35,7 @@ from .graphs import (
 from .nets import NetResult, NotANetError
 from .spectral import (
     TOL_EIG,
+    InertiaCounts,
     Spectrum,
     SpectralInterval,
     eigenvalues,
@@ -190,13 +191,14 @@ def finite_param_check(
     r: int,
     s: int,
     net: NetResult,
-    spectrum: Spectrum | None = None,
+    spectrum: Spectrum | InertiaCounts | None = None,
 ) -> BoundReport:
     """Measure mu[(1-theta) x, x] and compare with the window bound.
 
     The net must be a verified r-net for the same radius; its covering
     property is re-checked.  The graph must be connected (the net-removal
-    step of the argument assumes it).
+    step of the argument assumes it).  The counts come from ``spectrum``,
+    by default the graph's :class:`InertiaCounts`.
     """
     if not is_connected(g):
         raise GraphError("finite_param_check needs a connected graph")
@@ -205,7 +207,7 @@ def finite_param_check(
     if not net.verified or not is_r_net(g, net.vertices, r):
         raise NotANetError("finite_param_check needs a verified r-net")
     if spectrum is None:
-        spectrum = eigenvalues(g, compute_residual=False)
+        spectrum = InertiaCounts(g)
     delta_top = float(mu(spectrum, SpectralInterval.above(x)))
     params = BoundParams(
         theta=theta,
@@ -295,7 +297,7 @@ def thm_checker(
     x: float | None = None,
     theta: float | None = None,
     c: float | None = None,
-    spectrum: Spectrum | None = None,
+    spectrum: Spectrum | InertiaCounts | None = None,
 ) -> BoundReport:
     """Check a non-concentration theorem instance and report the implied constant.
 
@@ -305,18 +307,20 @@ def thm_checker(
     theta = 10 / log_{delta_tilde} n).  Hypothesis failures raise
     :class:`HypothesisViolatedError` naming the hypothesis; the implied
     constant is measured, never asserted against any absolute value.
+    lambda_2 and the counts come from ``spectrum``, by default the graph's
+    :class:`InertiaCounts`.
     """
     if g.n < 2:
         raise GraphError("thm_checker needs at least two vertices")
     if spectrum is None:
-        spectrum = eigenvalues(g, compute_residual=False)
+        spectrum = InertiaCounts(g)
     dt = g.delta_tilde
     if dt <= 1:
         raise GraphError("thm_checker needs delta_tilde > 1")
     log_dt = math.log(dt)
 
     if variant == "second-eig":
-        x = float(spectrum.values[-2])
+        x = spectrum.top(2)
         theta = 10.0 / (math.log(g.n) / log_dt)
         variant_kind = "second-eig"
         rate_kind = "main"

@@ -66,8 +66,8 @@ from .nets import greedy_tree_net, net_removal_drop_check, random_expander_net
 from .rng import rng_for, trial_seed
 from .spectral import (
     DEFAULT_SOLVER_CAP,
+    InertiaCounts,
     SpectralInterval,
-    Spectrum,
     eigenvalues,
     interval_query_json,
     local_global_check,
@@ -426,24 +426,23 @@ def _interlace(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
     return rows
 
 
-def _pick_x(rule: str, x_flag: float | None, spectrum: Spectrum, w_min: float) -> float:
+def _pick_x(rule: str, x_flag: float | None, counts: InertiaCounts, w_min: float) -> float:
     if rule == "value":
         if x_flag is None:
             raise GraphError("--x-rule value needs --x")
         return x_flag
-    values = spectrum.values
     if rule == "lambda2":
-        if len(values) < 2:
+        if counts.n < 2:
             raise GraphError("lambda2 rule needs at least two eigenvalues")
-        return max(float(values[-2]), w_min)
+        return max(counts.top(2), w_min)
     if rule == "half-lambda1":
-        return max(float(values[-1]) / 2.0, w_min)
+        return max(counts.top(1) / 2.0, w_min)
     raise GraphError(f"unknown x rule {rule!r}")
 
 
 def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
-    spectrum = eigenvalues(g, cap=p.cap, compute_residual=False)
-    x = _pick_x(p.x_rule, p.x, spectrum, g.w_min)
+    counts = InertiaCounts(g, cap=p.cap)
+    x = _pick_x(p.x_rule, p.x, counts, g.w_min)
     if p.auto_rs:
         sel = select_r_s(p.theta, g.delta_tilde)
         if not sel.ok:
@@ -454,7 +453,7 @@ def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
             raise GraphError("finite-param needs --r and --s (or --auto-rs)")
         r, s = p.r, p.s
     net = _build_net(g, p.method, r, p.p, seed)
-    rep = finite_param_check(g, x, p.theta, r, s, net, spectrum=spectrum)
+    rep = finite_param_check(g, x, p.theta, r, s, net, spectrum=counts)
     cells = [seed, g.n, x, p.theta, r, s, len(net.vertices), rep.lhs, rep.rhs,
              rep.terms["moment"], rep.terms["tail"], rep.terms["net"], rep.ok]
     return [(cells, rep.ok)]
@@ -467,7 +466,7 @@ EN_ROUTE_THETA_CAP = 0.9
 
 
 def en_route_finite_param(
-    g: WeightedGraph, spectrum: Spectrum, x: float, theta: float
+    g: WeightedGraph, counts: InertiaCounts, x: float, theta: float
 ) -> tuple[float, int, int, Any]:
     """Window-bound check at the same x the theorem instance used.
 
@@ -482,15 +481,15 @@ def en_route_finite_param(
     else:
         r, s = 1, max(1, int(1.0 / theta_fp))
     net = greedy_tree_net(g, r)
-    rep = finite_param_check(g, max(x, g.w_min), theta_fp, r, s, net, spectrum=spectrum)
+    rep = finite_param_check(g, max(x, g.w_min), theta_fp, r, s, net, spectrum=counts)
     return theta_fp, r, s, rep
 
 
 def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
-    spectrum = eigenvalues(g, cap=p.cap, compute_residual=False)
-    rep = thm_checker(g, "second-eig", spectrum=spectrum)
+    counts = InertiaCounts(g, cap=p.cap)
+    rep = thm_checker(g, "second-eig", spectrum=counts)
     x, theta = rep.params["x"], rep.params["theta"]
-    theta_fp, r, s, fp = en_route_finite_param(g, spectrum, x, theta)
+    theta_fp, r, s, fp = en_route_finite_param(g, counts, x, theta)
     cells = [g.n, seed, g.delta_tilde, x, theta, rep.lhs, rep.rhs, rep.rate,
              rep.implied_constant, rep.ok, theta_fp, r, s, fp.lhs, fp.rhs, fp.ok]
     return [(cells, rep.ok and fp.ok)]
@@ -642,8 +641,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_verify_thm(args: argparse.Namespace) -> int:
     fam = family_of(args)
     g = graph_provider(fam)(args.seed)
-    spectrum = eigenvalues(g, cap=args.cap, compute_residual=False)
-    rep = thm_checker(g, args.variant, x=args.x, theta=args.theta, c=args.c, spectrum=spectrum)
+    counts = InertiaCounts(g, cap=args.cap)
+    rep = thm_checker(g, args.variant, x=args.x, theta=args.theta, c=args.c, spectrum=counts)
     print(
         f"variant={args.variant} lhs={fmt(rep.lhs)} rhs={fmt(rep.rhs)} "
         f"rate={fmt(rep.rate)} implied_constant={fmt(rep.implied_constant)} ok={fmt(rep.ok)}",

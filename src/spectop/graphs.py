@@ -8,6 +8,7 @@ cached on the instance.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -114,8 +115,8 @@ class VertexSet:
         return iter(self.ids)
 
     def __contains__(self, v: int) -> bool:
-        i = np.searchsorted(self.ids, v) if self.ids else 0
-        return i < len(self.ids) and self.ids[int(i)] == v
+        i = bisect.bisect_left(self.ids, v)
+        return i < len(self.ids) and self.ids[i] == v
 
     @property
     def density(self) -> float:

@@ -5,6 +5,11 @@ package: ``mu`` for normalized counting measure mass, ``trace_power`` for
 walk sums, ``lambda1`` for spectral radii of graphs and balls.  Counts near
 interval endpoints use the shared tolerance ``TOL_EIG`` so that exact
 multiplicities (cycle spectra, hypercubes) land on the intended side.
+
+``m_count`` and ``mu`` take either a dense :class:`Spectrum` or an
+:class:`InertiaCounts`, which counts by Sylvester's law of inertia on a
+sparse factorization and finds the top eigenvalues by Lanczos; the checks
+that need only a few counts use the latter.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .graphs import (
@@ -31,7 +37,9 @@ __all__ = [
     "DEFAULT_SOLVER_CAP",
     "TRACE_POWER_MAX_K",
     "SolverCapError",
+    "SolverBudgetError",
     "Spectrum",
+    "InertiaCounts",
     "SpectralInterval",
     "eigenvalues",
     "lambda1",
@@ -55,9 +63,18 @@ LOCAL_GLOBAL_SLACK_TOL = 1e-6
 # dense solves are exact enough for any ball; above this we fall back to Lanczos
 _DENSE_LAMBDA1_CAP = 4096
 
+# Restart budget (ARPACK's maxiter) of every Lanczos solve. Random-regular
+# d=4, n=4096 needs about 30 restarts for its top two eigenvalues; a cycle
+# of that size, whose top gap is ~1e-6, exhausts the budget in ~0.2 s.
+LANCZOS_MAXITER = 100
+
 
 class SolverCapError(GraphError):
     """Graph exceeds the dense-eigensolver size cap."""
+
+
+class SolverBudgetError(GraphError):
+    """An iterative eigensolver ran out of its restart budget."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,17 @@ class Spectrum:
         if self.n == 0:
             return 0.0
         return float(max(abs(self.values[0]), abs(self.values[-1])))
+
+    def below(self, sigma: float, inclusive: bool = False) -> int:
+        """Number of eigenvalues < sigma (<= sigma when ``inclusive``)."""
+        side = "right" if inclusive else "left"
+        return int(np.searchsorted(self.values, sigma, side=side))
+
+    def top(self, k: int) -> float:
+        """The k-th largest eigenvalue."""
+        if not 1 <= k <= self.n:
+            raise GraphError(f"no eigenvalue number {k} among {self.n}")
+        return float(self.values[-k])
 
 
 @dataclass(frozen=True)
@@ -155,11 +183,39 @@ def eigenvalues(
     return Spectrum(vals, residual)
 
 
+def _lanczos_top(a: sp.spmatrix, k: int, **kwargs) -> np.ndarray:
+    """The k largest eigenvalues of the sparse symmetric ``a``, descending.
+
+    The start vector, and any vector ARPACK draws when its Krylov space
+    closes, come from a fixed generator, so that a run repeats to the last
+    bit in any process or thread. The start vector is not the ones vector,
+    which is the Perron vector of a regular graph and would end the
+    iteration at once. ``kwargs`` go to ``eigsh`` (a shift ``sigma`` for
+    shift-invert mode, a ``tol``). Raises :class:`SolverBudgetError` after
+    ``LANCZOS_MAXITER`` restarts.
+    """
+    gen = np.random.default_rng(0)
+    try:
+        vals = scipy.sparse.linalg.eigsh(
+            a, k=k, which="LM" if "sigma" in kwargs else "LA",
+            v0=gen.standard_normal(a.shape[0]), rng=gen,
+            maxiter=LANCZOS_MAXITER, return_eigenvectors=False, **kwargs,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        raise SolverBudgetError(
+            f"Lanczos did not converge to the top {k} eigenvalue(s) of an "
+            f"order-{a.shape[0]} matrix within {LANCZOS_MAXITER} restarts"
+        ) from None
+    return np.sort(vals)[::-1]
+
+
 def lambda1(g: WeightedGraph) -> float:
     """Top eigenvalue of the adjacency matrix.
 
-    Dense solve up to ``_DENSE_LAMBDA1_CAP`` vertices, Lanczos beyond.
-    Errors on the empty graph; a graph with no edges has lambda1 = 0.
+    Dense solve up to ``_DENSE_LAMBDA1_CAP`` vertices, Lanczos beyond, which
+    raises :class:`SolverBudgetError` when it does not converge within
+    ``LANCZOS_MAXITER`` restarts. Errors on the empty graph; a graph with
+    no edges has lambda1 = 0.
     """
     if g.n == 0:
         raise GraphError("lambda1 of the empty graph is undefined")
@@ -167,10 +223,109 @@ def lambda1(g: WeightedGraph) -> float:
         return 0.0
     if g.n <= _DENSE_LAMBDA1_CAP:
         return float(scipy.linalg.eigvalsh(g.dense())[-1])
-    val = scipy.sparse.linalg.eigsh(
-        g.csr, k=1, which="LA", return_eigenvectors=False, tol=1e-12
-    )
-    return float(val[0])
+    return float(_lanczos_top(g.csr, 1, tol=1e-12)[0])
+
+
+class InertiaCounts:
+    """Eigenvalue counts and top eigenvalues without a full spectrum.
+
+    ``below(sigma)`` is the number of negative pivots of A - sigma I in a
+    sparse LU with diagonal pivoting, which by Sylvester's law of inertia is
+    the number of eigenvalues < sigma; it is computed once per shift.
+    ``top(k)`` finds lambda_k by Lanczos, or by shift-invert Lanczos above
+    the row-sum bound when the top gap is too small for plain Lanczos, and
+    certifies it to within ``TOL_EIG`` by the counts at lambda_k +- TOL_EIG.
+
+    The answer comes from the dense spectrum, computed once, when the
+    factorization leaves the diagonal, meets a zero pivot or is not accurate
+    enough to fix the inertia (see ``_negative_pivots``), when both Lanczos
+    runs exhaust their budget or fail the certificate, and when the graph is
+    too small for Lanczos. The size cap is that of :func:`eigenvalues`, and
+    is enforced up front.
+    """
+
+    def __init__(self, g: WeightedGraph, cap: int = DEFAULT_SOLVER_CAP) -> None:
+        if g.n > cap:
+            raise SolverCapError(f"n={g.n} exceeds solver cap {cap}")
+        self.g = g
+        self.n = g.n
+        self.cap = cap
+        self._below: dict[float, int | None] = {}
+        self._spectrum: Spectrum | None = None
+
+    def _dense(self) -> Spectrum:
+        if self._spectrum is None:
+            self._spectrum = eigenvalues(self.g, self.cap, compute_residual=False)
+        return self._spectrum
+
+    def _negative_pivots(self, sigma: float) -> int | None:
+        """Negative pivots of A - sigma I, or None when they do not certify its inertia.
+
+        Without stability pivoting, the computed factors are the exact
+        factors of A - sigma I + E with ``|E|`` up to about eps ``|L||U|``.
+        Their pivot signs give the inertia of A - sigma I when ``||E||`` is
+        below the distance from sigma to the spectrum, 1 / ``||(A - sigma I)^-1||``,
+        which a few steps of inverse iteration estimate. Shifts within ~1e-8
+        of an interior or multiple eigenvalue fail this test (and did
+        miscount on hypercubes, cycles and tori); shifts near lambda_2 pass it.
+        """
+        shifted = (self.g.csr - sigma * sp.identity(self.n, format="csr")).tocsc()
+        try:
+            lu = scipy.sparse.linalg.splu(
+                shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError:  # a pivot is exactly zero
+            return None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        # |L| |U| 1, without abs(), which would sort the factors' indices first
+        row_sums = np.ones(self.n)
+        for factor in (lu.U, lu.L):
+            row_sums = sp.csc_matrix(
+                (np.abs(factor.data), factor.indices, factor.indptr), shape=factor.shape
+            ) @ row_sums
+        backward = np.finfo(np.float64).eps * np.max(row_sums)
+        v = np.random.default_rng(0).standard_normal(self.n)
+        v /= np.linalg.norm(v)
+        for _ in range(4):
+            w = lu.solve(v)
+            inverse_norm = np.linalg.norm(w)
+            v = w / inverse_norm
+        if not backward * inverse_norm < 1.0:  # also when the solve overflowed
+            return None
+        return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+    def below(self, sigma: float, inclusive: bool = False) -> int:
+        """Number of eigenvalues < sigma (<= sigma when ``inclusive``).
+
+        A factorization without a zero pivot means sigma is no eigenvalue,
+        so the two counts agree.
+        """
+        if sigma not in self._below:
+            self._below[sigma] = self._negative_pivots(sigma)
+        count = self._below[sigma]
+        if count is None:
+            return self._dense().below(sigma, inclusive)
+        return count
+
+    def top(self, k: int) -> float:
+        """The k-th largest eigenvalue, k <= 2."""
+        if not 1 <= k <= min(2, self.n):
+            raise GraphError(f"top({k}) needs 1 <= k <= min(2, n={self.n})")
+        if self.g.m == 0:
+            return 0.0
+        if self._spectrum is None and k < self.n - 1:
+            a = self.g.csr
+            bound = float(a.sum(axis=1).max())  # >= lambda_1; weights are positive
+            for shift in ({}, {"sigma": bound + 1e-6 * max(bound, 1.0)}):
+                try:
+                    x = float(_lanczos_top(a, k, **shift)[k - 1])
+                except SolverBudgetError:
+                    continue
+                if self.below(x - TOL_EIG) <= self.n - k < self.below(x + TOL_EIG, True):
+                    return x
+        return self._dense().top(k)
 
 
 def lambda1_ball(g: WeightedGraph, v: int, r: int) -> float:
@@ -211,31 +366,34 @@ def _kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def m_count(spectrum: Spectrum, interval: SpectralInterval, tol: float = TOL_EIG) -> int:
+def m_count(
+    spectrum: Spectrum | InertiaCounts, interval: SpectralInterval, tol: float = TOL_EIG
+) -> int:
     """Number of eigenvalues in the interval.
 
     Eigenvalues within ``tol`` of a closed endpoint count as inside; within
     ``tol`` of an open endpoint they count as outside.
     """
-    ev = spectrum.values
-    if len(ev) == 0:
+    if spectrum.n == 0:
         return 0
     if interval.a == -math.inf:
         lo = 0
     elif interval.closed_a:
-        lo = int(np.searchsorted(ev, interval.a - tol, side="left"))
+        lo = spectrum.below(interval.a - tol)
     else:
-        lo = int(np.searchsorted(ev, interval.a + tol, side="right"))
+        lo = spectrum.below(interval.a + tol, inclusive=True)
     if interval.b == math.inf:
-        hi = len(ev)
+        hi = spectrum.n
     elif interval.closed_b:
-        hi = int(np.searchsorted(ev, interval.b + tol, side="right"))
+        hi = spectrum.below(interval.b + tol, inclusive=True)
     else:
-        hi = int(np.searchsorted(ev, interval.b - tol, side="left"))
+        hi = spectrum.below(interval.b - tol)
     return max(0, hi - lo)
 
 
-def mu(spectrum: Spectrum, interval: SpectralInterval, tol: float = TOL_EIG) -> Fraction:
+def mu(
+    spectrum: Spectrum | InertiaCounts, interval: SpectralInterval, tol: float = TOL_EIG
+) -> Fraction:
     """Normalized counting measure of the interval, as an exact rational."""
     if spectrum.n == 0:
         raise GraphError("mu of the empty spectrum is undefined")

@@ -29,6 +29,7 @@ from spectop import (
     select_r_s,
     thm_checker,
 )
+from spectop import spectral
 from spectop.graphs import VertexSet
 from spectop.nets import NetResult
 from spectop.rng import rng_for
@@ -160,6 +161,21 @@ def test_thm_second_eig_boundary_tail_mass():
     assert rep.params["theta"] == pytest.approx(10.0 / 6.0, rel=1e-15)
     assert rep.params["x"] == pytest.approx(2.0 * math.cos(2 * math.pi / 64), abs=1e-12)
     assert math.isfinite(rep.implied_constant)
+
+
+def test_checks_count_without_a_dense_spectrum(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense spectrum computed")
+
+    g = generate(FamilySpec("random-regular", n=200, d=4, seed=1))
+    spec = eigenvalues(g, compute_residual=False)
+    monkeypatch.setattr(spectral, "eigenvalues", no_dense)
+    rep = thm_checker(g, "second-eig")
+    assert rep.params["x"] == pytest.approx(spec.top(2), abs=1e-12)
+    assert rep.lhs == thm_checker(g, "second-eig", spectrum=spec).lhs
+    net = greedy_tree_net(g, 1)
+    fp = finite_param_check(g, rep.params["x"], 0.5, 1, 2, net)
+    assert fp.lhs == finite_param_check(g, rep.params["x"], 0.5, 1, 2, net, spectrum=spec).lhs
 
 
 def test_thm_main_requires_x_and_theta(cycle12):

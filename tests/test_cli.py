@@ -396,6 +396,24 @@ def test_same_seed_same_bytes_across_workers(tmp_path, monkeypatch):
         assert out_a[name] == out_b[name], name
 
 
+def test_second_eig_sparse_path_same_bytes_across_workers(tmp_path, monkeypatch):
+    """At n = 1024 lambda_2 comes from Lanczos (shift-invert on the cycle)
+    and the counts from sparse factorizations; their floats must not
+    depend on the process or thread that ran them."""
+    cfg = {**SECOND_EIG_CFG, "grid": {"n": [1024]}}
+    outs = []
+    for workers in (1, 3):
+        root = tmp_path / f"w{workers}"
+        root.mkdir()
+        monkeypatch.setenv("SPECTOP_WORKERS", str(workers))
+        monkeypatch.chdir(root)
+        (root / "cfg.json").write_text(json.dumps(cfg))
+        assert run(["sweep", "--config", "cfg.json"]) == 0
+        outs.append({p.name: p.read_bytes() for p in sorted((root / "sweep-out").iterdir())})
+    assert sorted(outs[0]) == ["second-eig.csv", "second-eig.csv.manifest.json"]
+    assert outs[0] == outs[1]
+
+
 def test_trial_seed_streams_independent():
     seeds = {trial_seed(0, i) for i in range(100)}
     assert len(seeds) == 100

@@ -175,6 +175,17 @@ def test_vertex_set_operations():
     assert comp.ids == (0, 2, 4)
 
 
+def test_vertex_set_membership():
+    empty = VertexSet.of([], 6)
+    assert all(v not in empty for v in range(-1, 7))
+    vs = VertexSet.of([0, 2, 3, 5], 6)
+    assert 0 in vs and 5 in vs  # both ends
+    assert 2 in vs and np.int64(3) in vs
+    for absent in (-1, 1, 4, 6, 99):
+        assert absent not in vs
+    assert [v for v in range(6) if v in vs] == list(vs.ids)
+
+
 def test_vertex_set_rejects_out_of_range():
     with pytest.raises(VertexRangeError):
         VertexSet.of([5], 5)

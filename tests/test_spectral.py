@@ -8,11 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spectop import (
     FamilySpec,
+    GraphError,
+    InertiaCounts,
+    SolverBudgetError,
     SolverCapError,
     SpectralInterval,
     Spectrum,
@@ -31,6 +35,9 @@ from spectop import (
     spectrum_to_csv,
     trace_power,
 )
+from spectop import spectral
+from spectop.cli import EN_ROUTE_THETA_CAP, main
+from spectop.spectral import TOL_EIG
 
 from conftest import random_connected_graph
 
@@ -83,6 +90,8 @@ def test_eigenvalues_respects_cap():
     g = generate(FamilySpec("cycle", n=12))
     with pytest.raises(SolverCapError):
         eigenvalues(g, cap=11)
+    with pytest.raises(SolverCapError):
+        InertiaCounts(g, cap=11)
 
 
 def test_eigenvalues_empty_graph():
@@ -202,3 +211,143 @@ def test_interval_query_counts_boundary(cycle12):
     # C_12 has simple eigenvalue 2 at the top
     record = interval_query_json(spec, SpectralInterval.closed(2.0, 3.0))
     assert record["count"] == 1
+
+
+# -- inertia counts against the dense spectrum --------------------------------
+
+
+def test_spectrum_below_and_top_match_searchsorted(cycle12):
+    spec = eigenvalues(cycle12)
+    assert spec.below(2.0) == 11 and spec.below(2.0, inclusive=True) == 12
+    assert spec.top(1) == spec.values[-1] and spec.top(2) == spec.values[-2]
+    with pytest.raises(GraphError):
+        spec.top(13)
+
+
+def check_intervals(g, xs):
+    """Every interval the thm and finite-param checks build at these x:
+    (x, inf) and [(1 - theta) x, x] for the criterion 05 widths, the
+    second-eig preset and its en-route width."""
+    preset = 10.0 / (math.log(g.n) / math.log(g.delta_tilde))
+    thetas = (0.1, 0.3, 0.5, 0.7, preset, preset if preset < 1.0 else EN_ROUTE_THETA_CAP)
+    out = []
+    for x in xs:
+        out.append(SpectralInterval.above(x))
+        out += [SpectralInterval.top_window(x, theta) for theta in thetas]
+    return out
+
+
+def test_inertia_counts_match_dense_on_corpus(corpus):
+    for name, g in corpus:
+        spec = eigenvalues(g, compute_residual=False)
+        counts = InertiaCounts(g)
+        for k in (1, 2):
+            assert abs(counts.top(k) - spec.top(k)) <= 1e-12, (name, k)
+        lam1, lam2 = spec.top(1), spec.top(2)
+        xs = (lam2, counts.top(2), 0.75 * lam1, lam1 / 2.0, max(lam2, g.w_min))
+        for iv in check_intervals(g, xs):
+            assert m_count(counts, iv) == m_count(spec, iv), (name, iv.describe())
+            assert mu(counts, iv) == mu(spec, iv)
+        # the factorization certifies every shift not within 2 tol of an
+        # eigenvalue (tori have lambda_1 / 2 = 2 in their spectrum)
+        for sigma, count in counts._below.items():
+            assert count is not None or np.min(np.abs(spec.values - sigma)) < 2 * TOL_EIG
+
+
+CLOSED_FORMS = [
+    # (family spec, eigenvalues in closed form)
+    (FamilySpec("cycle", n=12), [2 * math.cos(2 * math.pi * j / 12) for j in range(12)]),
+    (FamilySpec("cycle", n=40), [2 * math.cos(2 * math.pi * j / 40) for j in range(40)]),
+    (FamilySpec("cycle", n=64), [2 * math.cos(2 * math.pi * j / 64) for j in range(64)]),
+    (FamilySpec("hypercube", d=6),
+     [6 - 2 * i for i in range(7) for _ in range(math.comb(6, i))]),
+    (FamilySpec("hypercube", d=8),
+     [8 - 2 * i for i in range(9) for _ in range(math.comb(8, i))]),
+    (FamilySpec("complete", n=9), [8.0] + [-1.0] * 8),
+]
+
+
+@pytest.mark.parametrize("spec, values", CLOSED_FORMS, ids=lambda v: getattr(v, "describe", str)())
+def test_inertia_counts_at_exact_eigenvalues(spec, values):
+    g = generate(spec)
+    exact = Spectrum(np.sort(np.array(values)), 0.0)
+    dense = eigenvalues(g, compute_residual=False)
+    counts = InertiaCounts(g)
+    distinct = sorted(set(np.round(values, 12)))
+    intervals = []
+    for lam in distinct:
+        for a in (lam - TOL_EIG / 2, lam, lam + TOL_EIG / 2):
+            intervals += [
+                SpectralInterval.closed(a, a),
+                SpectralInterval.open(a - 1.0, a),
+                SpectralInterval.above(a),
+                SpectralInterval.below(a),
+                SpectralInterval(a, distinct[-1], False, True),
+            ]
+    for iv in intervals:
+        want = m_count(exact, iv)
+        assert m_count(dense, iv) == want, iv.describe()
+        assert m_count(counts, iv) == want, iv.describe()
+    assert counts.top(1) == pytest.approx(exact.top(1), abs=1e-12)
+    assert counts.top(2) == pytest.approx(exact.top(2), abs=1e-12)
+
+
+def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
+    """A factorization off the diagonal and a Lanczos that never converges
+    leave every count and top eigenvalue as the dense spectrum has them."""
+    _, g = corpus[7]  # random-regular n=150 d=4
+    spec = eigenvalues(g, compute_residual=False)
+    real_splu = scipy.sparse.linalg.splu
+
+    class OffDiagonal:
+        def __init__(self, lu):
+            self.U, self.perm_c = lu.U, lu.perm_c
+            self.perm_r = np.roll(lu.perm_r, 1)
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no", np.empty(0), np.empty((0, 0)))
+
+    dense_calls = []
+
+    def counted(*args, **kwargs):
+        dense_calls.append(1)
+        return eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: OffDiagonal(real_splu(*a, **k)))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    monkeypatch.setattr(spectral, "eigenvalues", counted)
+    counts = InertiaCounts(g)
+    assert counts.top(1) == spec.top(1) and counts.top(2) == spec.top(2)
+    for iv in check_intervals(g, (spec.top(2), 0.75 * spec.top(1))):
+        assert m_count(counts, iv) == m_count(spec, iv), iv.describe()
+    assert len(dense_calls) == 1
+
+
+def test_inertia_counts_zero_pivot_and_small_graphs():
+    k2 = build_graph(2, [(0, 1, 1.0)])  # A - I eliminates to an exact zero pivot
+    counts = InertiaCounts(k2)
+    assert counts.below(1.0) == 1 and counts.below(1.0, inclusive=True) == 2
+    assert counts.top(1) == 1.0 and counts.top(2) == -1.0  # too small for Lanczos
+    with pytest.raises(GraphError):
+        counts.top(3)
+    assert m_count(InertiaCounts(build_graph(0, [])), SpectralInterval.closed(-1, 1)) == 0
+    edgeless = InertiaCounts(build_graph(5, []))
+    assert edgeless.top(1) == edgeless.top(2) == 0.0
+    assert m_count(edgeless, SpectralInterval.closed(0.0, 0.0)) == 5
+
+
+def test_lambda1_lanczos_has_a_budget(monkeypatch, tmp_path):
+    g = generate(FamilySpec("cycle", n=5000))  # above the dense lambda1 cap
+    monkeypatch.setattr(spectral, "LANCZOS_MAXITER", 1)
+    with pytest.raises(SolverBudgetError):
+        lambda1(g)
+    assert issubclass(SolverBudgetError, GraphError)
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "rad-drop", "--family", "cycle", "--n", "5000", "--r", "1",
+            "--out", "rd.csv"]
+    assert main(argv) == 2
+
+
+def test_lambda1_lanczos_within_budget():
+    g = generate(FamilySpec("random-regular", n=5000, d=4, seed=1))
+    assert lambda1(g) == pytest.approx(4.0, abs=1e-10)
