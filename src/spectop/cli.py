@@ -733,7 +733,7 @@ class ExperimentConfig:
         if "suite" not in obj:
             raise GraphError("config needs a 'suite' key")
         try:
-            return cls(
+            cfg = cls(
                 suite=obj["suite"],
                 seed=int(obj.get("seed", 0)),
                 families=tuple(obj.get("families", ())),
@@ -743,6 +743,9 @@ class ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise GraphError(f"malformed sweep config: {exc}") from None
+        if cfg.seed < 0:
+            raise GraphError(f"the sweep seed must be >= 0, got {cfg.seed}")
+        return cfg
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -825,6 +828,8 @@ def sweep_rows(
             raise GraphError(
                 f"families entry {fam!r}: needs 'family' and takes only {sorted(keys)}"
             )
+        if isinstance(fam.get("seed"), int) and fam["seed"] < 0:
+            raise GraphError(f"families entry {fam!r}: the seed must be >= 0")
     families = list(cfg.families)
     if "n" in cfg.grid:
         sizes = cfg.grid["n"] if isinstance(cfg.grid["n"], list) else [cfg.grid["n"]]
@@ -994,10 +999,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seeds(args: argparse.Namespace) -> None:
+    """Seeds key numpy SeedSequences, which take no negative integer."""
+    for key in ("seed", "family_seed"):
+        value = getattr(args, key, None)
+        if value is not None and value < 0:
+            raise GraphError(f"--{key.replace('_', '-')} must be >= 0, got {value}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seeds(args)
         return args.func(args)
     except HypothesisViolatedError as exc:
         print(f"error: hypothesis violated: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import (
     GraphError,
@@ -206,18 +207,23 @@ def voronoi_assign(
 
 
 def _verify_cells_connected(g: WeightedGraph, cells: CellAssignment) -> None:
-    for captain, members in cells.cells().items():
-        if not members:
-            continue
-        sub, vmap = induced_subgraph(g, members)
-        start = vmap.index(captain)
-        d = distances(sub, start)
-        if (d == UNREACHABLE).any():
-            orphan = vmap[int(np.flatnonzero(d == UNREACHABLE)[0])]
-            raise CellConnectivityError(
-                f"cell of captain {captain} is disconnected: vertex {orphan} "
-                f"cannot reach its captain inside the cell"
-            )
+    """Every assigned vertex lies in its captain's component of the graph of
+    intra-cell edges (u ~ v with ``assignment[u] == assignment[v] >= 0``)."""
+    a = cells.assignment
+    rows = np.repeat(np.arange(g.n), np.diff(g.csr.indptr))
+    cols = g.csr.indices
+    keep = (a[rows] == a[cols]) & (a[rows] >= 0)
+    intra = sp.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(g.n, g.n))
+    _, comp = sp.csgraph.connected_components(intra, directed=False)
+    assigned = np.flatnonzero(a >= 0)
+    orphans = assigned[comp[assigned] != comp[a[assigned]]]
+    if len(orphans):
+        captain = int(a[orphans].min())
+        orphan = int(orphans[a[orphans] == captain].min())
+        raise CellConnectivityError(
+            f"cell of captain {captain} is disconnected: vertex {orphan} "
+            f"cannot reach its captain inside the cell"
+        )
 
 
 @dataclass(frozen=True)

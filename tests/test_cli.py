@@ -266,6 +266,41 @@ def test_sweep_malformed_config_exits_2(tmp_path, monkeypatch, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "rad-drop", "--family", "cycle", "--n", "50", "--r", "1", "--seed", "-3",
+         "--out", "rd.csv"],
+        ["local-net", "--family", "cycle", "--n", "50", "--r", "2", "--p", "0.1", "--R", "5",
+         "--seed", "-3", "--out", "ln.json"],
+        ["net", "--family", "random-regular", "--n", "20", "--d", "3", "--r", "1",
+         "--family-seed", "-1", "--out", "net.json"],
+    ],
+    ids=["verify", "local-net", "family-seed"],
+)
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "overrides, argv",
+    [
+        ({"seed": -5}, []),
+        ({}, ["--seed", "-1"]),
+        ({"families": [{"family": "random-regular", "n": 20, "d": 3, "seed": -2}]}, []),
+    ],
+    ids=["config-seed", "seed-flag", "family-seed"],
+)
+def test_sweep_negative_seed_exits_2(tmp_path, monkeypatch, capsys, overrides, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--config", sweep_config(tmp_path, **overrides), *argv]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep-out").exists()
+
+
+@pytest.mark.parametrize(
     "suite, grid, header",
     [
         ("interlace", {"u_size": 3, "trials": 2},

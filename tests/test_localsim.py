@@ -27,6 +27,7 @@ from spectop import (
     voronoi_assign,
 )
 from spectop.graphs import VertexSet, distances
+from spectop.localsim import CellAssignment, CellConnectivityError, _verify_cells_connected
 from spectop.rng import keyed_uniform, rng_for
 
 from conftest import random_connected_graph
@@ -135,6 +136,32 @@ def test_voronoi_unassigned_when_no_captain(cycle12):
     labels = LocalLabels.from_values(np.full(12, 0.9))
     cells = voronoi_assign(cycle12, elect_captains(cycle12, labels, 0.1), labels, 3)
     assert len(cells.unassigned()) == 12
+
+
+def _hand_cells(cells: dict[int, list[int]]) -> CellAssignment:
+    a = np.full(12, -1)
+    for captain, members in cells.items():
+        a[members] = captain
+    return CellAssignment(VertexSet.of(cells, 12), a, R=6)
+
+
+@pytest.mark.parametrize(
+    "cells, captain, orphan",
+    [
+        # 6 and 8 cannot reach 0 inside the cell; the cell of 3 is also
+        # disconnected, but the smaller captain is named
+        ({0: [0, 6, 8], 3: [3, 9]}, 0, 6),
+        # 3 reaches 0 only through vertex 2, which is in another cell
+        ({0: [0, 1, 3], 2: [2]}, 0, 3),
+    ],
+)
+def test_disconnected_cell_names_captain_and_smallest_orphan(cycle12, cells, captain, orphan):
+    with pytest.raises(CellConnectivityError, match=rf"captain {captain} .* vertex {orphan} "):
+        _verify_cells_connected(cycle12, _hand_cells(cells))
+
+
+def test_connected_cells_with_unassigned_vertices_pass(cycle12):
+    _verify_cells_connected(cycle12, _hand_cells({0: [11, 0, 1], 6: [5, 6, 7]}))
 
 
 @given(seed=st.integers(0, 2_000), r=st.integers(1, 3))
