@@ -179,7 +179,7 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
     return edges
 
 
-def _random_regular(n: int, d: int, seed: int) -> list[tuple[int, int, float]]:
+def _random_regular(n: int, d: int, seed: int) -> WeightedGraph:
     _require(n >= 1 and d >= 1, "random-regular needs n >= 1 and d >= 1")
     _require(d < n, "random-regular needs d < n")
     _require(n * d % 2 == 0, "random-regular needs n*d even")
@@ -190,7 +190,7 @@ def _random_regular(n: int, d: int, seed: int) -> list[tuple[int, int, float]]:
             continue
         g = build_graph(n, [(u, v, 1.0) for u, v in sorted(edges)])
         if is_connected(g):
-            return [(u, v, 1.0) for u, v in sorted(edges)]
+            return g
     raise RetryBudgetError(
         f"no connected simple {d}-regular graph on {n} vertices found in "
         f"{RANDOM_REGULAR_RETRY_CAP} attempts"
@@ -218,7 +218,7 @@ def generate(spec: FamilySpec) -> WeightedGraph:
         return build_graph(spec.n, _complete(spec.n))
     if f == "random-regular":
         _require(spec.n is not None and spec.d is not None, "random-regular needs n and d")
-        return build_graph(spec.n, _random_regular(spec.n, spec.d, spec.seed))
+        return _random_regular(spec.n, spec.d, spec.seed)
     if f == "tree-ball":
         _require(spec.d is not None and spec.depth is not None, "tree-ball needs d and depth")
         return build_graph(tree_ball_size(spec.d, spec.depth), _tree_ball(spec.d, spec.depth))

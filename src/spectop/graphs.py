@@ -1,19 +1,19 @@
 """Edge-weighted graphs with the queries the verification suites need.
 
 The central type is :class:`WeightedGraph`: a finite undirected graph on
-dense integer vertex ids with strictly positive edge weights, immutable after
-construction.  Everything downstream (spectra, nets, local algorithms) treats
-it as read-only, so derived artifacts such as the sparse adjacency matrix are
-cached on the instance.
+dense integer vertex ids with strictly positive edge weights, stored as three
+read-only CSR arrays (``indptr``, ``indices``, ``weights``).  Everything
+downstream (spectra, nets, local algorithms) reads those arrays; the scipy
+sparse matrix wraps them and is cached on the instance, and the dense matrix
+is built from them on demand.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ __all__ = [
     "WeightedGraph",
     "SpotCheckResult",
     "build_graph",
-    "normalized_weighting",
     "distances",
     "all_pairs_distances",
     "induced_subgraph",
@@ -136,11 +135,17 @@ class VertexSet:
 class WeightedGraph:
     """Finite undirected edge-weighted graph, immutable after construction.
 
+    The adjacency is stored once, in compressed sparse row form: the
+    neighbours of vertex ``v`` are ``indices[indptr[v]:indptr[v + 1]]``,
+    sorted by id, with the edge weights at the same positions of
+    ``weights``. Both directions of every edge are present, so
+    ``indptr[-1] == 2 * m``. The three arrays are read-only; the sparse and
+    dense matrices are derived from them.
+
     Parameters
     ----------
     n : number of vertices (ids ``0..n-1``).
-    adjacency : per-vertex tuple of ``(neighbor, weight)`` pairs, sorted by
-        neighbor id, both directions present.
+    indptr, indices, weights : the CSR arrays described above.
     w_min, w_max : declared weight bounds; every edge weight lies inside.
     delta : declared maximum degree.
 
@@ -148,59 +153,58 @@ class WeightedGraph:
     the constructor trusts its arguments.
     """
 
-    __slots__ = ("n", "adj", "w_min", "w_max", "delta", "__dict__")
+    __slots__ = ("n", "indptr", "indices", "weights", "w_min", "w_max", "delta", "__dict__")
 
     def __init__(
         self,
         n: int,
-        adjacency: tuple[tuple[tuple[int, float], ...], ...],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
         w_min: float,
         w_max: float,
         delta: int,
     ) -> None:
+        for a in (indptr, indices, weights):
+            a.setflags(write=False)
         self.n = n
-        self.adj = adjacency
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
         self.w_min = w_min
         self.w_max = w_max
         self.delta = delta
 
     # -- basic queries ---------------------------------------------------
 
-    def neighbors(self, v: int) -> tuple[tuple[int, float], ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
-    @cached_property
+    @property
     def m(self) -> int:
         """Number of undirected edges."""
-        return sum(len(a) for a in self.adj) // 2
+        return len(self.indices) // 2
+
+    def rows(self) -> np.ndarray:
+        """The row of every entry: ``(rows()[i], indices[i])`` is an entry."""
+        return np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Undirected edges as (u, v, w) with u < v, ascending."""
-        for u in range(self.n):
-            for v, w in self.adj[u]:
-                if u < v:
-                    yield u, v, w
+        rows = self.rows()
+        up = rows < self.indices
+        return zip(
+            rows[up].tolist(), self.indices[up].tolist(), self.weights[up].tolist()
+        )
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        rows, cols, data = [], [], []
-        for u in range(self.n):
-            for v, w in self.adj[u]:
-                rows.append(u)
-                cols.append(v)
-                data.append(w)
-        return sp.csr_matrix(
-            (data, (rows, cols)), shape=(self.n, self.n), dtype=np.float64
-        )
+        return sp.csr_matrix((self.weights, self.indices, self.indptr), shape=(self.n, self.n))
 
     def dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u in range(self.n):
-            for v, w in self.adj[u]:
-                a[u, v] = w
+        # not csr.toarray(): the scipy constructor costs more than a small ball's solve
+        a = np.zeros((self.n, self.n))
+        a[self.rows(), self.indices] = self.weights
         return a
 
     @property
@@ -208,13 +212,16 @@ class WeightedGraph:
         """Degree-weight parameter delta * w_max / w_min."""
         return self.delta * self.w_max / self.w_min
 
+    def _key(self) -> tuple:
+        return self.n, self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m}, delta={self.delta})"
@@ -225,51 +232,51 @@ def build_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> WeightedGrap
 
     Each edge is an ``(u, v, w)`` triple with ``w > 0``.  Listing a pair twice
     with the same weight is a duplicate; with a different weight it is an
-    asymmetry; both are rejected.  Self-loops are rejected.
+    asymmetry; both are rejected.  Self-loops are rejected.  The checks run
+    on the whole list at once; the error names the first faulty edge in input
+    order, with the fault found first in the order range, self-loop, weight,
+    repetition.
     """
     if n < 0:
         raise GraphError("n must be nonnegative")
-    seen: dict[tuple[int, int], float] = {}
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if u < 0 or u >= n or v < 0 or v >= n:
-            raise VertexRangeError(f"edge ({u},{v}) out of range 0..{n - 1}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if not (w > 0.0) or not math.isfinite(w):
-            raise NonpositiveWeightError(f"edge ({u},{v}) has weight {w!r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            if seen[key] == w:
-                raise DuplicateEdgeError(f"edge {key} listed more than once")
-            raise AsymmetricWeightError(
-                f"edge {key} listed with weights {seen[key]!r} and {w!r}"
-            )
-        seen[key] = w
-    lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), w in seen.items():
-        lists[u].append((v, w))
-        lists[v].append((u, w))
-    adjacency = tuple(tuple(sorted(l)) for l in lists)
-    weights = list(seen.values())
-    w_min = min(weights) if weights else 1.0
-    w_max = max(weights) if weights else 1.0
-    delta = max((len(a) for a in adjacency), default=0)
-    return WeightedGraph(n, adjacency, w_min, w_max, delta)
+    edges = list(edges)
+    e = np.array(edges, dtype=np.float64).reshape(len(edges), 3)
+    u, v, w = np.trunc(e[:, 0]), np.trunc(e[:, 1]), e[:, 2]
+    in_range = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+    lo, hi = np.sort(np.where(in_range, [u, v], 0), axis=0).astype(np.int64)
+    # An out-of-range edge gets a negative key of its own, so it repeats none.
+    key = np.where(in_range, lo * n + hi, -1 - np.arange(len(edges)))
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    bad = ~in_range | (u == v) | ~(w > 0.0) | ~np.isfinite(w)
+    faults = np.concatenate([np.flatnonzero(bad), repeats])
+    if len(faults):
+        _raise_fault(n, edges, key, int(faults.min()))
+    directed = np.concatenate([key, hi * n + lo])
+    order = np.argsort(directed)
+    rows, cols = np.divmod(directed[order], max(n, 1))
+    degrees = np.bincount(rows, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    w_min, w_max = (float(w.min()), float(w.max())) if len(w) else (1.0, 1.0)
+    delta = int(degrees.max()) if n else 0
+    return WeightedGraph(n, indptr, cols, np.concatenate([w, w])[order], w_min, w_max, delta)
 
 
-def normalized_weighting(g: WeightedGraph) -> WeightedGraph:
-    """Reweight a unit-weight graph by (deg u * deg v)^(-1/2) per edge."""
-    for u in range(g.n):
-        if not g.adj[u]:
-            raise IsolatedVertexError(f"vertex {u} is isolated")
-        for _, w in g.adj[u]:
-            if w != 1.0:
-                raise GraphError("normalized_weighting expects unit weights")
-    edges = [
-        (u, v, 1.0 / math.sqrt(g.degree(u) * g.degree(v))) for u, v, _ in g.edges()
-    ]
-    return build_graph(g.n, edges)
+def _raise_fault(n: int, edges: list, key: np.ndarray, i: int) -> None:
+    """Raise the error for ``edges[i]``, the first faulty edge."""
+    u, v, w = edges[i]
+    u, v, w = int(u), int(v), float(w)
+    if u < 0 or u >= n or v < 0 or v >= n:
+        raise VertexRangeError(f"edge ({u},{v}) out of range 0..{n - 1}")
+    if u == v:
+        raise SelfLoopError(f"self-loop at vertex {u}")
+    if not (w > 0.0) or not math.isfinite(w):
+        raise NonpositiveWeightError(f"edge ({u},{v}) has weight {w!r}")
+    pair = (min(u, v), max(u, v))
+    first = float(edges[np.flatnonzero(key == key[i])[0]][2])
+    if first == w:
+        raise DuplicateEdgeError(f"edge {pair} listed more than once")
+    raise AsymmetricWeightError(f"edge {pair} listed with weights {first!r} and {w!r}")
 
 
 # -- distances and subgraphs ----------------------------------------------
@@ -285,24 +292,27 @@ def distances(
     """
     if isinstance(sources, (int, np.integer)):
         sources = [int(sources)]
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    q: deque[int] = deque()
+    out = np.full(g.n, UNREACHABLE, dtype=np.int64)
+    # memoryviews: entries as Python ints, without numpy scalars or O(n) tolist()
+    dist, indptr, indices = memoryview(out), memoryview(g.indptr), memoryview(g.indices)
+    frontier = []
     for s in sources:
         if s < 0 or s >= g.n:
             raise VertexRangeError(f"source {s} out of range")
         if dist[s] != 0:
             dist[s] = 0
-            q.append(s)
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        if cutoff is not None and du >= cutoff:
-            continue
-        for v, _ in g.adj[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                q.append(v)
-    return dist
+            frontier.append(s)
+    depth = 0
+    while frontier and (cutoff is None or depth < cutoff):
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if dist[v] == UNREACHABLE:
+                    dist[v] = depth
+                    reached.append(v)
+        frontier = reached
+    return out
 
 
 def all_pairs_distances(g: WeightedGraph) -> np.ndarray:
@@ -332,15 +342,21 @@ def induced_subgraph(
     vmap = tuple(sorted({int(v) for v in vertices}))
     if vmap and (vmap[0] < 0 or vmap[-1] >= g.n):
         raise VertexRangeError("subgraph vertex out of range")
-    index = {v: i for i, v in enumerate(vmap)}
-    lists: list[list[tuple[int, float]]] = [[] for _ in vmap]
-    for i, v in enumerate(vmap):
-        for u, w in g.adj[v]:
-            j = index.get(u)
-            if j is not None:
-                lists[i].append((j, w))
-    adjacency = tuple(tuple(sorted(l)) for l in lists)
-    h = WeightedGraph(len(vmap), adjacency, g.w_min, g.w_max, g.delta)
+    ids = np.array(vmap, dtype=np.int64)
+    starts = g.indptr[ids]
+    counts = g.indptr[1:][ids] - starts
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    offsets[1:] = counts.cumsum()
+    # positions in the parent's arrays of the selected rows' entries, in order
+    pos = (starts - offsets[:-1]).repeat(counts) + np.arange(offsets[-1])
+    nbrs = g.indices[pos]
+    j = ids.searchsorted(nbrs)
+    keep = ids.take(j, mode="clip") == nbrs
+    kept = np.zeros(len(pos) + 1, dtype=np.int64)
+    kept[1:] = keep.cumsum()
+    h = WeightedGraph(
+        len(ids), kept[offsets], j[keep], g.weights[pos[keep]], g.w_min, g.w_max, g.delta
+    )
     return h, vmap
 
 
@@ -348,8 +364,8 @@ def delete_vertices(
     g: WeightedGraph, removed: Iterable[int]
 ) -> tuple[WeightedGraph, tuple[int, ...]]:
     """Graph with the given vertices (and incident edges) deleted, plus id map."""
-    gone = {int(v) for v in removed}
-    return induced_subgraph(g, (v for v in range(g.n) if v not in gone))
+    gone = np.fromiter(removed, dtype=np.int64)
+    return induced_subgraph(g, np.setdiff1d(np.arange(g.n), gone))
 
 
 def ball(g: WeightedGraph, v: int, r: int) -> tuple[WeightedGraph, tuple[int, ...]]:
@@ -418,12 +434,9 @@ class SpotCheckResult:
 
 
 def _boundary_size(g: WeightedGraph, inside: set[int]) -> int:
-    seen = set()
-    for u in inside:
-        for v, _ in g.adj[u]:
-            if v not in inside:
-                seen.add(v)
-    return len(seen)
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(inside)] = True
+    return int((g.csr @ mask > 0)[~mask].sum())
 
 
 def expander_spot_check(
@@ -445,17 +458,13 @@ def expander_spot_check(
         raise GraphError("expansion constant must be nonnegative")
     n = g.n
     half = n / 2.0
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     if mode == "exact":
         if n > EXACT_SPOT_CHECK_MAX_N:
             raise GraphError(
                 f"exact spot check limited to n <= {EXACT_SPOT_CHECK_MAX_N}"
             )
-        nbr_mask = [0] * n
-        for u in range(n):
-            m = 0
-            for v, _ in g.adj[u]:
-                m |= 1 << v
-            nbr_mask[u] = m
+        nbr_mask = [sum(1 << v for v in indices[indptr[u]:indptr[u + 1]]) for u in range(n)]
         checked = 0
         # DP over subsets: neighborhood mask of S = mask of lowest bit | rest.
         nbhd = [0] * (1 << n)
@@ -484,14 +493,14 @@ def expander_spot_check(
         start = int(rng.integers(n))
         target = int(rng.integers(1, max(2, n // 2 + 1)))
         inside = {start}
-        frontier = [v for v, _ in g.adj[start]]
+        frontier = indices[indptr[start]:indptr[start + 1]]
         while len(inside) < target and frontier:
             pick = int(rng.integers(len(frontier)))
             u = frontier.pop(pick)
             if u in inside:
                 continue
             inside.add(u)
-            frontier.extend(v for v, _ in g.adj[u] if v not in inside)
+            frontier.extend(v for v in indices[indptr[u]:indptr[u + 1]] if v not in inside)
         if len(inside) > half:
             continue
         checked += 1

@@ -189,13 +189,14 @@ def voronoi_assign(
         # neighbors one layer closer, which realizes the label tie-break
         order = np.argsort(dist, kind="stable")
         lab = labels.values
+        indptr, indices = g.indptr.tolist(), g.indices.tolist()
         for v in order:
             v = int(v)
             dv = dist[v]
             if dv <= 0 or dv == UNREACHABLE:
                 continue
             best = -1
-            for w, _ in g.adj[v]:
+            for w in indices[indptr[v]:indptr[v + 1]]:
                 if dist[w] == dv - 1 and assignment[w] >= 0:
                     c = int(assignment[w])
                     if best < 0 or (lab[c], c) < (lab[best], best):
@@ -210,8 +211,7 @@ def _verify_cells_connected(g: WeightedGraph, cells: CellAssignment) -> None:
     """Every assigned vertex lies in its captain's component of the graph of
     intra-cell edges (u ~ v with ``assignment[u] == assignment[v] >= 0``)."""
     a = cells.assignment
-    rows = np.repeat(np.arange(g.n), np.diff(g.csr.indptr))
-    cols = g.csr.indices
+    rows, cols = g.rows(), g.indices
     keep = (a[rows] == a[cols]) & (a[rows] >= 0)
     intra = sp.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(g.n, g.n))
     _, comp = sp.csgraph.connected_components(intra, directed=False)
@@ -377,7 +377,5 @@ def cell_transport(cells: CellAssignment) -> np.ndarray:
 def adjacency_transport(g: WeightedGraph) -> np.ndarray:
     """f(o, x) = 1 iff o ~ x; both transport sums equal the average degree."""
     mat = np.zeros((g.n, g.n), dtype=np.float64)
-    for u in range(g.n):
-        for v, _ in g.adj[u]:
-            mat[u, v] = 1.0
+    mat[g.rows(), g.indices] = 1.0
     return mat

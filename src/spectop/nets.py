@@ -131,9 +131,10 @@ def greedy_tree_net(
     children: list[list[int]] = [[] for _ in range(n)]
     depth[root] = 0
     q: deque[int] = deque([root])
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     while q:
         u = q.popleft()
-        for v, _ in sorted(g.adj[u], key=lambda e: rank[e[0]]):
+        for v in sorted(indices[indptr[u]:indptr[u + 1]], key=rank.__getitem__):
             if depth[v] == UNREACHABLE:
                 depth[v] = depth[u] + 1
                 parent[v] = u

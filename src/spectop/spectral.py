@@ -48,7 +48,6 @@ __all__ = [
     "m_count",
     "mu",
     "trace_power",
-    "spectrum_moment",
     "LocalGlobalReport",
     "local_global_check",
     "spectrum_to_csv",
@@ -405,8 +404,8 @@ def trace_power(g: WeightedGraph, k: int) -> float:
 
     The diagonal of A^k is accumulated with compensated summation in
     ascending vertex order.  The eigenvalue route sum(lambda_i^k) is the
-    cross-check (see :func:`spectrum_moment`); the two agree to relative
-    1e-8 on the corpora this package verifies.
+    cross-check (the spectrum-moment oracle in ``tests/test_spectral.py``);
+    the two agree to relative 1e-8 on the corpora this package verifies.
     """
     if k % 2 != 0 or k < 0:
         raise GraphError("trace_power requires even k >= 0")
@@ -421,11 +420,6 @@ def trace_power(g: WeightedGraph, k: int) -> float:
     for _ in range(k):
         x = a @ x
     return _kahan_sum(float(x[i, i]) for i in range(g.n))
-
-
-def spectrum_moment(spectrum: Spectrum, k: int) -> float:
-    """sum(lambda_i^k) with compensated summation, ascending eigenvalue order."""
-    return _kahan_sum(float(v) ** k for v in spectrum.values)
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ class ReturnSeries:
 def _assert_regular_unit(g: WeightedGraph) -> int:
     if g.n == 0:
         raise GraphError("empty graph has no walks")
-    degs = {g.degree(v) for v in range(g.n)}
+    degs = set(np.diff(g.indptr).tolist())
     if len(degs) != 1 or degs == {0}:
         raise NonRegularGraphError(
             "graph is not regular; SRW normalization is undefined "

@@ -174,11 +174,7 @@ def scrambled_outside(g, labels, v, radius, rng):
 def permuted_copy(g, perm):
     from spectop.graphs import build_graph
 
-    edges = []
-    for u in range(g.n):
-        for v, w in g.adj[u]:
-            if u < v:
-                edges.append((int(perm[u]), int(perm[v]), w))
+    edges = [(int(perm[u]), int(perm[v]), w) for u, v, w in g.edges()]
     return build_graph(g.n, edges)
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectop import (
@@ -15,7 +15,6 @@ from spectop import (
     DuplicateEdgeError,
     FamilySpec,
     GraphFormatError,
-    IsolatedVertexError,
     NonpositiveWeightError,
     SelfLoopError,
     VertexRangeError,
@@ -32,11 +31,10 @@ from spectop import (
     is_r_net,
     is_s_separated,
     lambda1,
-    normalized_weighting,
     read_graph,
     write_graph,
 )
-from spectop.graphs import UNREACHABLE
+from spectop.graphs import UNREACHABLE, GraphError
 
 from conftest import random_connected_graph
 
@@ -86,7 +84,91 @@ def test_build_graph_rejects_out_of_range_vertex():
 
 def test_adjacency_lists_sorted_by_neighbor():
     g = build_graph(4, [(3, 0, 1.0), (0, 1, 1.0), (2, 0, 1.0)])
-    assert [v for v, _ in g.adj[0]] == [1, 2, 3]
+    assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1, 2, 3]
+
+
+@given(seed=st.integers(0, 10_000))
+def test_csr_arrays_hold_a_sorted_symmetric_read_only_adjacency(seed):
+    g = random_connected_graph(seed, n_max=12, weighted=True)
+    assert g.indptr[0] == 0 and g.indptr[-1] == 2 * g.m == len(g.indices)
+    for u in range(g.n):
+        row = g.indices[g.indptr[u]:g.indptr[u + 1]]
+        assert (np.diff(row) > 0).all()
+    a = g.csr
+    assert (a != a.T).nnz == 0
+    assert a.diagonal().sum() == 0
+    for arr in (g.indptr, g.indices, g.weights):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def per_edge_validator(n, edges):
+    """The reference for build_graph's checks: one edge at a time, in order.
+
+    Returns the accepted edges as a {(u, v): w} dict with u < v.
+    """
+    seen = {}
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if u < 0 or u >= n or v < 0 or v >= n:
+            raise VertexRangeError(f"edge ({u},{v}) out of range 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        if not (w > 0.0) or not math.isfinite(w):
+            raise NonpositiveWeightError(f"edge ({u},{v}) has weight {w!r}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            if seen[key] == w:
+                raise DuplicateEdgeError(f"edge {key} listed more than once")
+            raise AsymmetricWeightError(
+                f"edge {key} listed with weights {seen[key]!r} and {w!r}"
+            )
+        seen[key] = w
+    return seen
+
+
+FAULTS = ("range", "loop", "zero", "negative", "nan", "inf", "duplicate", "asymmetric")
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_build_graph_matches_the_per_edge_validator(data):
+    n = data.draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(
+        st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+        unique_by=lambda p: (min(p), max(p)), max_size=12,
+    ))
+    weight = st.sampled_from([0.5, 1.0, 2.0, 1 / 3])
+    edges = [(u, v, data.draw(weight)) for u, v in pairs]
+    for fault in data.draw(st.lists(st.sampled_from(FAULTS), max_size=4)):
+        u, v = data.draw(vertex), data.draw(vertex)
+        if fault == "range":
+            bad = (data.draw(st.sampled_from([-1, n, n + 5])), v, 1.0)
+        elif fault == "loop":
+            bad = (u, u, 1.0)
+        elif fault in ("duplicate", "asymmetric"):
+            if not edges:
+                continue
+            a, b, w = data.draw(st.sampled_from(edges))
+            a, b = data.draw(st.sampled_from([(a, b), (b, a)]))
+            bad = (a, b, w if fault == "duplicate" else w * 3)
+        else:
+            w = {"zero": 0.0, "negative": -1.5, "nan": math.nan,
+                 "inf": data.draw(st.sampled_from([math.inf, -math.inf]))}[fault]
+            bad = (u, v, w)
+        edges.insert(data.draw(st.integers(0, len(edges))), bad)
+
+    try:
+        expected = per_edge_validator(n, edges)
+    except GraphError as exc:
+        with pytest.raises(type(exc)) as got:
+            build_graph(n, edges)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    g = build_graph(n, edges)
+    assert list(g.edges()) == sorted((u, v, w) for (u, v), w in expected.items())
 
 
 def test_edgeless_graph_conventions():
@@ -191,19 +273,6 @@ def test_vertex_set_rejects_out_of_range():
         VertexSet.of([5], 5)
 
 
-def test_normalized_weighting_has_unit_top_eigenvalue():
-    for spec in (FamilySpec("cycle", n=9), FamilySpec("path", n=8)):
-        g = generate(spec)
-        ng = normalized_weighting(g)
-        assert lambda1(ng) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_normalized_weighting_rejects_isolated_vertex():
-    g = build_graph(3, [(0, 1, 1.0)])
-    with pytest.raises(IsolatedVertexError):
-        normalized_weighting(g)
-
-
 def test_graph_file_roundtrip(tmp_path):
     g = random_connected_graph(77, n_max=20, weighted=True)
     path = tmp_path / "g.graph"
@@ -239,7 +308,7 @@ def test_spot_check_exact_certifies_cycle_expansion():
     assert res2.verdict == "falsified"
     assert res2.witness is not None
     inside = set(res2.witness.ids)
-    outside = {v for u in inside for v, _ in g.adj[u]} - inside
+    outside = set(g.csr[sorted(inside)].indices.tolist()) - inside
     assert len(outside) < 0.51 * len(inside)
 
 
@@ -255,7 +324,7 @@ def test_spot_check_monte_carlo_falsifies_long_cycle():
     assert res.verdict in ("falsified", "inconclusive")
     if res.verdict == "falsified":
         inside = set(res.witness.ids)
-        outside = {v for u in inside for v, _ in g.adj[u]} - inside
+        outside = set(g.csr[sorted(inside)].indices.tolist()) - inside
         assert len(outside) < 0.5 * len(inside)
 
 
