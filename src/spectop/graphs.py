@@ -26,7 +26,6 @@ __all__ = [
     "NonpositiveWeightError",
     "VertexRangeError",
     "DisconnectedGraphError",
-    "IsolatedVertexError",
     "GraphFormatError",
     "VertexSet",
     "WeightedGraph",
@@ -75,10 +74,6 @@ class VertexRangeError(GraphError):
 
 
 class DisconnectedGraphError(GraphError):
-    pass
-
-
-class IsolatedVertexError(GraphError):
     pass
 
 
@@ -343,6 +338,20 @@ def induced_subgraph(
     if vmap and (vmap[0] < 0 or vmap[-1] >= g.n):
         raise VertexRangeError("subgraph vertex out of range")
     ids = np.array(vmap, dtype=np.int64)
+    indptr, indices, weights = _induced_arrays(g, ids)
+    h = WeightedGraph(len(ids), indptr, indices, weights, g.w_min, g.w_max, g.delta)
+    return h, vmap
+
+
+def _induced_arrays(
+    g: WeightedGraph, ids: np.ndarray, block: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays of the adjacency induced on ``ids``, cut into diagonal blocks.
+
+    Row ``i`` is vertex ``ids[i]`` and keeps its edges to the ``ids[j]`` with
+    ``block[j] == block[i]`` (all of ``ids`` when ``block`` is None). The
+    pairs ``(block[i], ids[i])`` must be strictly ascending.
+    """
     starts = g.indptr[ids]
     counts = g.indptr[1:][ids] - starts
     offsets = np.zeros(len(ids) + 1, dtype=np.int64)
@@ -350,14 +359,15 @@ def induced_subgraph(
     # positions in the parent's arrays of the selected rows' entries, in order
     pos = (starts - offsets[:-1]).repeat(counts) + np.arange(offsets[-1])
     nbrs = g.indices[pos]
-    j = ids.searchsorted(nbrs)
-    keep = ids.take(j, mode="clip") == nbrs
+    if block is None:
+        keys, wanted = ids, nbrs
+    else:
+        keys, wanted = block * g.n + ids, block.repeat(counts) * g.n + nbrs
+    j = keys.searchsorted(wanted)
+    keep = keys.take(j, mode="clip") == wanted
     kept = np.zeros(len(pos) + 1, dtype=np.int64)
     kept[1:] = keep.cumsum()
-    h = WeightedGraph(
-        len(ids), kept[offsets], j[keep], g.weights[pos[keep]], g.w_min, g.w_max, g.delta
-    )
-    return h, vmap
+    return kept[offsets], j[keep], g.weights[pos[keep]]
 
 
 def delete_vertices(

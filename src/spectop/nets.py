@@ -31,7 +31,7 @@ from .graphs import (
     is_r_net,
     UNREACHABLE,
 )
-from .spectral import lambda1, lambda1_ball
+from .spectral import lambda1, lambda1_balls
 
 __all__ = [
     "NetResult",
@@ -234,10 +234,8 @@ def high_radius_set(g: WeightedGraph, x: float, s: int) -> VertexSet:
     """
     if s < 0:
         raise GraphError("s must be nonnegative")
-    members = [
-        v for v in range(g.n) if lambda1_ball(g, v, s + 1) > x + HIGH_RADIUS_TOL
-    ]
-    return VertexSet.of(members, g.n)
+    tops = lambda1_balls(g, s + 1)
+    return VertexSet.of(np.flatnonzero(tops > x + HIGH_RADIUS_TOL).tolist(), g.n)
 
 
 @dataclass(frozen=True)

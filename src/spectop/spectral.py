@@ -23,14 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .graphs import (
-    GraphError,
-    WeightedGraph,
-    ball,
-    distances,
-    induced_subgraph,
-    UNREACHABLE,
-)
+from .graphs import GraphError, WeightedGraph, _induced_arrays
 
 __all__ = [
     "TOL_EIG",
@@ -43,7 +36,6 @@ __all__ = [
     "SpectralInterval",
     "eigenvalues",
     "lambda1",
-    "lambda1_ball",
     "lambda1_balls",
     "m_count",
     "mu",
@@ -66,6 +58,14 @@ _DENSE_LAMBDA1_CAP = 4096
 # d=4, n=4096 needs about 30 restarts for its top two eigenvalues; a cycle
 # of that size, whose top gap is ~1e-6, exhausts the budget in ~0.2 s.
 LANCZOS_MAXITER = 100
+
+# Ball tops (``lambda1_balls``): power iteration on the distinct balls side
+# by side, at most this total order per block-diagonal matrix, each ball
+# stopped once its Collatz-Wielandt bounds agree to this relative width, or
+# solved densely after this many steps.
+BALL_CHUNK_ORDER = 5000
+BALL_CW_WIDTH = 1e-10
+BALL_POWER_BUDGET = 2000
 
 
 class SolverCapError(GraphError):
@@ -211,15 +211,19 @@ def _lanczos_top(a: sp.spmatrix, k: int, **kwargs) -> np.ndarray:
 def lambda1(g: WeightedGraph) -> float:
     """Top eigenvalue of the adjacency matrix.
 
-    Dense solve up to ``_DENSE_LAMBDA1_CAP`` vertices, Lanczos beyond, which
-    raises :class:`SolverBudgetError` when it does not converge within
-    ``LANCZOS_MAXITER`` restarts. Errors on the empty graph; a graph with
-    no edges has lambda1 = 0.
+    When every row sum equals c, lambda1 is c exactly (the ones vector is a
+    positive eigenvector), so no solve runs; this covers the graph with no
+    edges (lambda1 = 0). Otherwise a dense solve up to
+    ``_DENSE_LAMBDA1_CAP`` vertices, Lanczos beyond, which raises
+    :class:`SolverBudgetError` when it does not converge within
+    ``LANCZOS_MAXITER`` restarts. Errors on the empty graph.
     """
     if g.n == 0:
         raise GraphError("lambda1 of the empty graph is undefined")
-    if g.m == 0:
-        return 0.0
+    # not add.reduceat over indptr, which misreads empty rows
+    sums = np.bincount(g.rows(), weights=g.weights, minlength=g.n)
+    if sums.min() == sums.max():
+        return float(sums[0])
     if g.n <= _DENSE_LAMBDA1_CAP:
         return float(scipy.linalg.eigvalsh(g.dense())[-1])
     return float(_lanczos_top(g.csr, 1, tol=1e-12)[0])
@@ -327,31 +331,103 @@ class InertiaCounts:
         return self._dense().top(k)
 
 
-def lambda1_ball(g: WeightedGraph, v: int, r: int) -> float:
-    """Top eigenvalue of the induced subgraph on the radius-``r`` ball at ``v``."""
-    sub, _ = ball(g, v, r)
-    return lambda1(sub)
+def _ball_members(g: WeightedGraph, r: int) -> sp.csr_matrix:
+    """Row ``v`` holds the radius-``r`` ball at ``v``: the pattern of (I + A)^r."""
+    step = sp.csr_matrix((np.ones(len(g.indices), dtype=bool), g.indices, g.indptr),
+                         shape=(g.n, g.n))
+    step = (step + sp.identity(g.n, dtype=bool, format="csr")).tocsr()
+    members = sp.identity(g.n, dtype=bool, format="csr")
+    for _ in range(r):
+        members = members @ step
+    members.sort_indices()
+    return members
+
+
+def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of each diagonal block of ``a``, from below.
+
+    ``a`` is symmetric, nonnegative and block diagonal with irreducible
+    blocks starting at rows ``starts``. Power iteration on ``a + I`` from
+    the ones vector, normalized per block. For positive x, both the
+    Collatz-Wielandt minimum min(Ax/x) and the Rayleigh quotient
+    x'Ax / x'x are <= lambda1 <= max(Ax/x); a block's value is the larger
+    lower bound at the first step where the Collatz-Wielandt bounds agree to
+    ``BALL_CW_WIDTH`` relative. A block still open after
+    ``BALL_POWER_BUDGET`` steps is solved densely up to order
+    ``_DENSE_LAMBDA1_CAP`` and raises :class:`SolverBudgetError` above it.
+    """
+    sizes = np.diff(np.append(starts, a.shape[0]))
+    tops = np.empty(len(starts))
+    todo = np.ones(len(starts), dtype=bool)
+    x = np.ones(a.shape[0])
+    for _ in range(BALL_POWER_BUDGET):
+        y = a @ x
+        q = y / x
+        q_min = np.minimum.reduceat(q, starts)
+        q_max = np.maximum.reduceat(q, starts)
+        done = todo & (q_max - q_min <= BALL_CW_WIDTH * q_max)
+        if done.any():
+            rayleigh = np.add.reduceat(x * y, starts) / np.add.reduceat(x * x, starts)
+            tops[done] = np.maximum(q_min, rayleigh)[done]
+            todo &= ~done
+            if not todo.any():
+                return tops
+        x += y
+        x /= np.maximum.reduceat(x, starts).repeat(sizes)
+    for b in np.flatnonzero(todo).tolist():
+        lo, hi = starts[b], starts[b] + sizes[b]
+        if hi - lo > _DENSE_LAMBDA1_CAP:
+            raise SolverBudgetError(
+                f"power iteration did not settle the top eigenvalue of an "
+                f"order-{hi - lo} ball within {BALL_POWER_BUDGET} steps"
+            )
+        tops[b] = scipy.linalg.eigvalsh(a[lo:hi, lo:hi].toarray())[-1]
+    return tops
 
 
 def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     """lambda1 of every radius-``r`` ball, indexed by center.
 
-    Balls that coincide as vertex sets share one solve; on graphs where the
-    radius exceeds the diameter this collapses to a single eigensolve.
+    Balls that coincide as vertex sets share one value, and a ball that is
+    all of ``g`` gets ``lambda1(g)``. The other distinct balls are laid side
+    by side in block-diagonal matrices of total order about
+    ``BALL_CHUNK_ORDER`` and go through :func:`_power_tops` together, so
+    each value is a lower bound on the ball's lambda1 up to rounding.
     """
-    out = np.empty(g.n, dtype=np.float64)
-    cache: dict[bytes, float] = {}
+    if r < 0:
+        raise GraphError("radius must be nonnegative")
+    members = _ball_members(g, r)
+    # one key per distinct vertex set: the bytes of its sorted ids
+    raw, width = members.indices.tobytes(), members.indices.itemsize
+    ptr = members.indptr.tolist()
+    first: dict[bytes, int] = {}
+    reps: list[int] = []
+    which = np.empty(g.n, dtype=np.int64)
     for v in range(g.n):
-        d = distances(g, v, cutoff=r)
-        mask = d != UNREACHABLE
-        key = np.packbits(mask).tobytes()
-        lam = cache.get(key)
-        if lam is None:
-            sub, _ = induced_subgraph(g, np.flatnonzero(mask).tolist())
-            lam = lambda1(sub)
-            cache[key] = lam
-        out[v] = lam
-    return out
+        key = raw[width * ptr[v]:width * ptr[v + 1]]
+        b = first.setdefault(key, len(reps))
+        if b == len(reps):
+            reps.append(v)
+        which[v] = b
+    sizes = np.diff(members.indptr)[reps]
+    tops = np.empty(len(reps))
+    whole = sizes == g.n
+    if whole.any():
+        tops[whole] = lambda1(g)
+    chunks: list[list[int]] = []
+    for b in np.flatnonzero(~whole).tolist():
+        if not chunks or order + sizes[b] > BALL_CHUNK_ORDER:
+            chunks.append([])
+            order = 0
+        chunks[-1].append(b)
+        order += sizes[b]
+    for chunk in chunks:
+        part = members[[reps[b] for b in chunk]]
+        block = np.arange(len(chunk)).repeat(np.diff(part.indptr))
+        indptr, indices, weights = _induced_arrays(g, part.indices, block)
+        a = sp.csr_matrix((weights, indices, indptr), shape=(len(block), len(block)))
+        tops[chunk] = _power_tops(a, part.indptr[:-1])
+    return tops[which]
 
 
 def _kahan_sum(values: Iterable[float]) -> float:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +28,6 @@ from spectop import (
     generate,
     interval_query_json,
     lambda1,
-    lambda1_ball,
     lambda1_balls,
     local_global_check,
     m_count,
@@ -107,11 +108,25 @@ def test_residual_skipped_is_nan():
 
 def test_lambda1_cycle_is_two():
     g = generate(FamilySpec("cycle", n=50))
-    assert lambda1(g) == pytest.approx(2.0, abs=1e-10)
+    assert lambda1(g) == 2.0
 
 
 def test_lambda1_edgeless_is_zero():
     assert lambda1(build_graph(4, [])) == 0.0
+
+
+def test_lambda1_of_constant_row_sums_needs_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a graph with constant row sums")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", no_solve)
+    # every vertex has one edge of each weight
+    g = build_graph(4, [(0, 1, 0.5), (1, 2, 1.5), (2, 3, 0.5), (3, 0, 1.5)])
+    assert lambda1(g) == 2.0
+    assert lambda1(generate(FamilySpec("hypercube", d=5))) == 5.0
+    monkeypatch.undo()
+    # isolated vertices (empty rows, here the last) break the constant row sum, as in G - W
+    assert lambda1(build_graph(3, [(0, 1, 1.0)])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_m_count_endpoint_semantics():
@@ -166,8 +181,8 @@ def test_trace_square_counts_weighted_edges():
 def test_local_global_equality_on_c4():
     g = generate(FamilySpec("cycle", n=4))
     rep = local_global_check(g, 1)
-    assert rep.lhs == pytest.approx(8.0, abs=1e-9)
-    assert rep.rhs == pytest.approx(8.0, abs=1e-9)
+    assert rep.lhs == 8.0
+    assert abs(rep.rhs - 8.0) <= 1e-12
     assert rep.ok
 
 
@@ -179,14 +194,44 @@ def test_local_global_holds_on_random_graphs(seed, r):
     assert rep.lhs <= rep.rhs + 1e-6 * abs(rep.rhs)
 
 
+def dense_ball_tops(g, r):
+    return np.array([scipy.linalg.eigvalsh(ball(g, v, r)[0].dense())[-1] for v in range(g.n)])
+
+
 @given(seed=st.integers(0, 5_000), r=st.integers(0, 3))
 def test_lambda1_balls_matches_per_vertex_solves(seed, r):
-    g = random_connected_graph(seed, n_max=12)
+    g = random_connected_graph(seed, n_max=12, weighted=True)
     tops = lambda1_balls(g, r)
+    dense = dense_ball_tops(g, r)
+    # a lower bound up to rounding, and as close as the dense solve
+    assert np.all(tops <= dense * (1 + 1e-14))
+    assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
+
+
+def test_lambda1_balls_do_not_depend_on_the_chunking(monkeypatch):
+    g = random_connected_graph(3, n_min=20, n_max=40, weighted=True)
+    rr = generate(FamilySpec("random-regular", n=60, d=4, seed=101))
+    default = [lambda1_balls(g, 2), lambda1_balls(rr, 3)]
+    monkeypatch.setattr(spectral, "BALL_CHUNK_ORDER", 1)
+    assert np.array_equal(lambda1_balls(g, 2), default[0])
+    assert np.array_equal(lambda1_balls(rr, 3), default[1])
+
+
+def test_lambda1_balls_fall_back_to_dense_at_the_budget(monkeypatch):
+    g = random_connected_graph(5, n_min=20, n_max=30, weighted=True)
+    monkeypatch.setattr(spectral, "BALL_POWER_BUDGET", 1)
+    tops = lambda1_balls(g, 2)
+    dense = dense_ball_tops(g, 2)
     for v in range(g.n):
-        sub, _ = ball(g, v, r)
-        assert tops[v] == pytest.approx(lambda1(sub), abs=1e-9)
-        assert tops[v] == pytest.approx(lambda1_ball(g, v, r), abs=1e-9)
+        sums = ball(g, v, 2)[0].csr.sum(axis=1)
+        if sums.min() < sums.max():  # not settled by the first step from x = 1
+            assert tops[v] == dense[v]
+        else:
+            assert tops[v] == pytest.approx(dense[v], rel=1e-14)
+    # above the dense cap an unsettled ball raises
+    monkeypatch.setattr(spectral, "_DENSE_LAMBDA1_CAP", 4)
+    with pytest.raises(SolverBudgetError):
+        lambda1_balls(generate(FamilySpec("path", n=9)), 2)
 
 
 def test_spectrum_csv_format(tmp_path, cycle12):
@@ -341,15 +386,19 @@ def test_inertia_counts_zero_pivot_and_small_graphs():
 
 
 def test_lambda1_lanczos_has_a_budget(monkeypatch, tmp_path):
-    g = generate(FamilySpec("cycle", n=5000))  # above the dense lambda1 cap
+    g = generate(FamilySpec("path", n=5000))  # irregular, above the dense lambda1 cap
     monkeypatch.setattr(spectral, "LANCZOS_MAXITER", 1)
     with pytest.raises(SolverBudgetError):
         lambda1(g)
     assert issubclass(SolverBudgetError, GraphError)
+    # a cycle has constant row sums, so no Lanczos solve runs at any size
+    assert lambda1(generate(FamilySpec("cycle", n=5000))) == 2.0
     monkeypatch.chdir(tmp_path)
     argv = ["verify", "rad-drop", "--family", "cycle", "--n", "5000", "--r", "1",
             "--out", "rd.csv"]
-    assert main(argv) == 2
+    assert main(argv) == 0
+    with open("rd.csv", encoding="ascii") as fh:
+        assert [row["lam1_g"] for row in csv.DictReader(fh)] == ["2"]
 
 
 def test_lambda1_lanczos_within_budget():
