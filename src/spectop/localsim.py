@@ -6,6 +6,9 @@ The label of vertex v is drawn from a stream keyed by (seed, v), so scrambling
 labels outside a ball provably cannot change decisions inside it -- the
 locality tests exploit exactly that.
 
+``local_net`` gets every Voronoi cell and its BFS tree from one BFS, then
+cuts the tree nets of all cells at once with ``greedy_tree_net``'s code.
+
 The mass-transport identity is exact on a finite graph with a uniform root:
 both orders of summation of a nonnegative pair function f(o, x) equal the
 same double sum.  ``mtp_check`` evaluates both orders with exactly rounded
@@ -26,12 +29,11 @@ from .graphs import (
     VertexSet,
     WeightedGraph,
     distances,
-    induced_subgraph,
     is_r_net,
     is_s_separated,
     UNREACHABLE,
 )
-from .nets import NetResult, greedy_tree_net
+from .nets import NetResult, _ranked_bfs, _tree_net
 from .rng import keyed_uniforms
 
 __all__ = [
@@ -103,9 +105,7 @@ def local_separated(
     _check_labels(g, labels)
     if r < 1:
         raise GraphError("separation radius must be >= 1")
-    eff = np.zeros(g.n, dtype=np.float64)
-    for v in u.ids:
-        eff[v] = labels.values[v]
+    eff = np.where(u.mask(), labels.values, 0.0)
     members: list[int] = []
     for v in u.ids:
         if r == 1:
@@ -158,13 +158,6 @@ class CellAssignment:
     def unassigned(self) -> VertexSet:
         return VertexSet.of(np.flatnonzero(self.assignment < 0).tolist(), self.n)
 
-    def cells(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {c: [] for c in self.captains.ids}
-        for v, c in enumerate(self.assignment):
-            if c >= 0:
-                out[int(c)].append(v)
-        return out
-
 
 def voronoi_assign(
     g: WeightedGraph, captains: VertexSet, labels: LocalLabels, R: int
@@ -176,45 +169,43 @@ def voronoi_assign(
     path to the chosen captain stays inside the cell, so cells are connected;
     this is verified, not assumed.
     """
+    return _voronoi_forest(g, captains, labels, R)[0]
+
+
+def _voronoi_forest(
+    g: WeightedGraph, captains: VertexSet, labels: LocalLabels, R: int
+) -> tuple[CellAssignment, np.ndarray, list[np.ndarray]]:
+    """``voronoi_assign`` plus each cell's BFS tree (``parent``, ``layers``).
+
+    Each queue layer is sorted by captain (label, id), so a vertex's parent,
+    its first-queued neighbour one layer closer, has the tie-break's captain.
+    """
     _check_labels(g, labels)
     if R < 0:
         raise GraphError("cell radius must be nonnegative")
-    n = g.n
-    assignment = np.full(n, -1, dtype=np.int64)
-    if len(captains) > 0:
-        dist = distances(g, captains.ids, cutoff=R)
-        for c in captains.ids:
-            assignment[c] = c
-        # vertices in BFS layer order; each picks the best captain among
-        # neighbors one layer closer, which realizes the label tie-break
-        order = np.argsort(dist, kind="stable")
-        lab = labels.values
-        indptr, indices = g.indptr.tolist(), g.indices.tolist()
-        for v in order:
-            v = int(v)
-            dv = dist[v]
-            if dv <= 0 or dv == UNREACHABLE:
-                continue
-            best = -1
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if dist[w] == dv - 1 and assignment[w] >= 0:
-                    c = int(assignment[w])
-                    if best < 0 or (lab[c], c) < (lab[best], best):
-                        best = c
-            assignment[v] = best
-    result = CellAssignment(captains, assignment, R)
-    _verify_cells_connected(g, result)
-    return result
+    parent, layers = _ranked_bfs(g, labels.values, captains.ids)
+    layers = [layer for d, layer in enumerate(layers) if d < R + 1]  # as distances(cutoff=R)
+    assignment = np.full(g.n, -1, dtype=np.int64)
+    for d, layer in enumerate(layers):
+        assignment[layer] = assignment[parent[layer]] if d else layer
+    cells = CellAssignment(captains, assignment, R)
+    _verify_cells_connected(g, cells)
+    return cells, parent, layers
+
+
+def _intra_cell(g: WeightedGraph, a: np.ndarray) -> sp.csr_matrix:
+    """The edges u ~ v of g with ``a[u] == a[v] >= 0``."""
+    rows = g.rows()
+    keep = (a[rows] == a[g.indices]) & (a[rows] >= 0)
+    indptr = np.concatenate([[0], keep.cumsum()])[g.indptr]
+    return sp.csr_matrix((g.weights[keep], g.indices[keep], indptr), shape=(g.n, g.n))
 
 
 def _verify_cells_connected(g: WeightedGraph, cells: CellAssignment) -> None:
     """Every assigned vertex lies in its captain's component of the graph of
     intra-cell edges (u ~ v with ``assignment[u] == assignment[v] >= 0``)."""
     a = cells.assignment
-    rows, cols = g.rows(), g.indices
-    keep = (a[rows] == a[cols]) & (a[rows] >= 0)
-    intra = sp.csr_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(g.n, g.n))
-    _, comp = sp.csgraph.connected_components(intra, directed=False)
+    _, comp = sp.csgraph.connected_components(_intra_cell(g, a), directed=False)
     assigned = np.flatnonzero(a >= 0)
     orphans = assigned[comp[assigned] != comp[a[assigned]]]
     if len(orphans):
@@ -270,17 +261,10 @@ def local_net(
     if r < 1:
         raise GraphError("net radius must be >= 1")
     captains = elect_captains(g, labels, p)
-    cells = voronoi_assign(g, captains, labels, R)
-    members: set[int] = set(cells.unassigned().ids)
-    for captain, cell in sorted(cells.cells().items()):
-        if not cell:
-            continue
-        sub, vmap = induced_subgraph(g, cell)
-        cell_net = greedy_tree_net(
-            sub, r, priority=labels.values[list(vmap)]
-        )
-        members.update(vmap[i] for i in cell_net.vertices.ids)
-    vs = VertexSet.of(members, g.n)
+    cells, parent, layers = _voronoi_forest(g, captains, labels, R)
+    a = cells.assignment
+    members = _tree_net(_intra_cell(g, a), parent, layers, r) | (a < 0)
+    vs = VertexSet(tuple(np.flatnonzero(members).tolist()), g.n)
     net = NetResult("local-captain", r, vs, vs.density, is_r_net(g, vs, r))
     return LocalNetRun(net=net, cells=cells, labels=labels, p=p, R=R, r=r)
 
@@ -366,11 +350,9 @@ def mtp_check(
 
 def cell_transport(cells: CellAssignment) -> np.ndarray:
     """f(o, x) = 1 iff x lies in the cell captained by o."""
-    n = cells.n
-    mat = np.zeros((n, n), dtype=np.float64)
-    for x, c in enumerate(cells.assignment):
-        if c >= 0:
-            mat[int(c), x] = 1.0
+    mat = np.zeros((cells.n, cells.n), dtype=np.float64)
+    assigned = np.flatnonzero(cells.assignment >= 0)
+    mat[cells.assignment[assigned], assigned] = 1.0
     return mat
 
 

@@ -15,10 +15,10 @@ lambda1(G - W)^{2r} <= lambda1(G)^{2r} - w_min^{2r}.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import (
     DisconnectedGraphError,
@@ -27,7 +27,6 @@ from .graphs import (
     WeightedGraph,
     delete_vertices,
     distances,
-    is_connected,
     is_r_net,
     UNREACHABLE,
 )
@@ -113,70 +112,86 @@ def greedy_tree_net(
     n = g.n
     if n == 0:
         return _finish(g, "greedy-tree", r, [])
-    if not is_connected(g):
+    key = np.zeros(n) if priority is None else np.asarray(priority)
+    if len(key) != n:
+        raise GraphError("priority must have one entry per vertex")
+    parent, layers = _ranked_bfs(g, key, [int(np.argmin(key))])
+    if sum(map(len, layers)) < n:
         raise DisconnectedGraphError("greedy_tree_net needs a connected graph")
-    if priority is None:
-        rank = list(range(n))
-    else:
-        if len(priority) != n:
-            raise GraphError("priority must have one entry per vertex")
-        order = sorted(range(n), key=lambda v: (priority[v], v))
-        rank = [0] * n
-        for i, v in enumerate(order):
-            rank[v] = i
-    root = min(range(n), key=lambda v: rank[v])
+    net = _tree_net(g.csr, parent, layers, r)
+    return _finish(g, "greedy-tree", r, np.flatnonzero(net).tolist())
 
-    parent = [-1] * n
-    depth = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    depth[root] = 0
-    q: deque[int] = deque([root])
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    while q:
-        u = q.popleft()
-        for v in sorted(indices[indptr[u]:indptr[u + 1]], key=rank.__getitem__):
-            if depth[v] == UNREACHABLE:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                children[u].append(v)
-                q.append(v)
 
-    alive = [True] * n
-    by_depth = sorted(range(n), key=lambda v: (-depth[v], rank[v]))
-    net: list[int] = []
-    cursor = 0
-    while True:
-        while cursor < n and not alive[by_depth[cursor]]:
-            cursor += 1
-        if cursor >= n:
+def _ranked_bfs(
+    g: WeightedGraph, key: np.ndarray, roots
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """BFS forest of g from ``roots``, taking the roots and scanning each row
+    in ascending (key, id): one scipy BFS from a virtual root n adjacent to
+    ``roots``, on g relabelled by that rank so that its sorted rows are.
+    Returns ``parent`` (a root or unreached vertex is its own) and the
+    ``layers``, each depth's vertices in queue order.
+    """
+    n = g.n
+    by_rank = np.argsort(key, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_rank] = np.arange(n)
+    entries = np.sort(rank[g.rows()] * n + rank[g.indices])
+    indices = np.append(entries % max(n, 1), np.sort(rank[list(roots)]))
+    indptr = np.concatenate([[0], np.diff(g.indptr)[by_rank].cumsum(), [len(indices)]])
+    a = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    order, pred = sp.csgraph.breadth_first_order(a, n, directed=True, return_predecessors=True)
+    pos = np.empty(n + 1, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    # parents' queue positions never decrease along the queue, so the layer
+    # after the one ending at queue position e ends at after[e]
+    after = (1 + pos[pred[order[1:]]].searchsorted(np.arange(len(order) + 1))).tolist()
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(after[ends[-1]])
+    reached, up = order[1:], pred[order[1:]]
+    parent = np.arange(n)
+    parent[by_rank[reached]] = by_rank[np.where(up == n, reached, up)]
+    reached = by_rank[reached]
+    return parent, [reached[s - 1:e - 1] for s, e in zip(ends, ends[1:])]
+
+
+def _tree_net(
+    adj: sp.csr_matrix, parent: np.ndarray, layers: list[np.ndarray], r: int
+) -> np.ndarray:
+    """Greedy tree cuts, as a mask, on BFS trees of components of ``adj``.
+
+    Deepest layer first, every vertex v deeper than r that no cut deleted
+    (a cut so far sits at most r above v) marks its ancestor u at distance r
+    and deletes u's branch; one layer's marks fall on distinct branches, so
+    the order inside a layer does not matter.  Then a tree's root is marked
+    if a vertex left in it is further than r from the marks along ``adj``.
+    """
+    mark = bytearray(len(parent))
+    up = parent.tolist()
+    for layer in layers[:r:-1]:
+        for v in layer.tolist():
+            for _ in range(r):
+                if mark[v]:
+                    break
+                v = up[v]
+            else:
+                mark[v] = 1
+    net = np.frombuffer(mark, dtype=bool).copy()
+    if not layers:
+        return net
+    near = np.concatenate(layers[: r + 1])
+    root, left = near, ~net[near]
+    for _ in range(r):
+        root = parent[root]
+        left &= ~net[root]
+    covered = net.copy()
+    for _ in range(r):
+        grown = covered | (adj @ covered > 0)
+        if (grown == covered).all():
             break
-        v = by_depth[cursor]
-        if depth[v] <= r:
-            if _any_alive_uncovered(g, alive, net, r):
-                net.append(root)
-            break
-        u = v
-        for _ in range(r):
-            u = parent[u]
-        net.append(u)
-        stack = [u]
-        alive[u] = False
-        while stack:
-            a = stack.pop()
-            for b in children[a]:
-                if alive[b]:
-                    alive[b] = False
-                    stack.append(b)
-    return _finish(g, "greedy-tree", r, net)
-
-
-def _any_alive_uncovered(
-    g: WeightedGraph, alive: list[bool], net: list[int], r: int
-) -> bool:
-    if not net:
-        return True
-    d = distances(g, net, cutoff=r)
-    return any(alive[v] and d[v] == UNREACHABLE for v in range(g.n))
+        covered = grown
+    net[root[left & ~covered[near]]] = True
+    return net
 
 
 def random_expander_net(

@@ -338,7 +338,10 @@ def _ball_members(g: WeightedGraph, r: int) -> sp.csr_matrix:
     step = (step + sp.identity(g.n, dtype=bool, format="csr")).tocsr()
     members = sp.identity(g.n, dtype=bool, format="csr")
     for _ in range(r):
-        members = members @ step
+        grown = members @ step
+        if grown.nnz == members.nnz:  # products only add entries: this pattern is final
+            break
+        members = grown
     members.sort_indices()
     return members
 

@@ -18,6 +18,8 @@ from spectop import (
     cell_transport,
     elect_captains,
     generate,
+    greedy_tree_net,
+    induced_subgraph,
     is_r_net,
     is_s_separated,
     local_net,
@@ -162,6 +164,76 @@ def test_disconnected_cell_names_captain_and_smallest_orphan(cycle12, cells, cap
 
 def test_connected_cells_with_unassigned_vertices_pass(cycle12):
     _verify_cells_connected(cycle12, _hand_cells({0: [11, 0, 1], 6: [5, 6, 7]}))
+
+
+def reference_voronoi_assign(g, captains, labels, R):
+    """Layer-by-layer Voronoi assignment, kept as the oracle of the one-BFS
+    version: vertices in distance order each take the smallest (label, id)
+    captain among their neighbours one layer closer."""
+    assignment = np.full(g.n, -1, dtype=np.int64)
+    if not captains.ids:
+        return assignment
+    dist = distances(g, captains.ids, cutoff=R)
+    assignment[list(captains.ids)] = list(captains.ids)
+    lab = labels.values
+    for v in np.argsort(dist, kind="stable").tolist():
+        if dist[v] <= 0:
+            continue
+        nbrs = g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()
+        closer = [int(assignment[w]) for w in nbrs if dist[w] == dist[v] - 1]
+        assignment[v] = min(closer, key=lambda c: (lab[c], c))
+    return assignment
+
+
+def reference_local_net(g, labels, p, R, r):
+    """The per-cell local net: one induced subgraph and one label-priority
+    ``greedy_tree_net`` per cell, plus the unassigned vertices."""
+    captains = elect_captains(g, labels, p)
+    a = reference_voronoi_assign(g, captains, labels, R)
+    members = set(np.flatnonzero(a < 0).tolist())
+    for c in captains.ids:
+        sub, vmap = induced_subgraph(g, np.flatnonzero(a == c).tolist())
+        net = greedy_tree_net(sub, r, priority=labels.values[list(vmap)])
+        members.update(vmap[i] for i in net.vertices.ids)
+    return captains, a, tuple(sorted(members))
+
+
+ORACLE_GRAPHS = [
+    FamilySpec("cycle", n=90),
+    FamilySpec("torus-grid", dims=(9, 8)),
+    FamilySpec("random-regular", n=80, d=4, seed=7),
+    FamilySpec("random-regular", n=60, d=6, seed=8),
+]
+# (p, R): no captain, every vertex a captain, single-vertex cells, then
+# sparse captains with cut-off and with unbounded cells; R may be a float
+ORACLE_CELL_PARAMS = [
+    (0.0, 5), (1.0, 3), (0.3, 0), (0.5, 1), (0.15, 2.5), (0.05, 6.0), (0.02, 200), (0.02, math.inf)
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GRAPHS, ids=lambda s: s.describe())
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_local_net_matches_the_per_cell_oracle(spec, r):
+    g = generate(spec)
+    for seed in range(8):
+        labels = LocalLabels.from_seed(g.n, 1000 * r + seed)
+        for p, R in ORACLE_CELL_PARAMS:
+            captains, a, members = reference_local_net(g, labels, p, R, r)
+            run = local_net(g, labels, p, R, r)
+            assert run.cells.captains == captains
+            assert np.array_equal(run.cells.assignment, a)
+            assert run.net.vertices.ids == members
+            assert run.net.verified and is_r_net(g, members, r)
+
+
+@given(seed=st.integers(0, 5_000), R=st.integers(0, 6))
+def test_voronoi_assign_matches_the_layer_oracle(seed, R):
+    g = random_connected_graph(seed, n_max=30)
+    labels = LocalLabels.from_seed(g.n, seed)
+    # captains need not be the low labels
+    captains = VertexSet.of(np.flatnonzero(rng_for(seed).random(g.n) < 0.3).tolist(), g.n)
+    cells = voronoi_assign(g, captains, labels, R)
+    assert np.array_equal(cells.assignment, reference_voronoi_assign(g, captains, labels, R))
 
 
 @given(seed=st.integers(0, 2_000), r=st.integers(1, 3))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -70,6 +71,74 @@ def test_greedy_net_rejects_disconnected():
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
         greedy_tree_net(g, 1)
+
+
+def reference_greedy_tree_net(g, r, priority=None):
+    """The per-vertex greedy tree net, kept as the oracle of the batched one:
+    a Python BFS with rows sorted by priority rank, then the deepest-first
+    cut loop and the closing root check, one vertex at a time."""
+    n = g.n
+    if n == 0:
+        return ()
+    if priority is None:
+        rank = list(range(n))
+    else:
+        order = sorted(range(n), key=lambda v: (priority[v], v))
+        rank = [0] * n
+        for i, v in enumerate(order):
+            rank[v] = i
+    root = min(range(n), key=lambda v: rank[v])
+    parent, depth = [-1] * n, [-1] * n
+    children = [[] for _ in range(n)]
+    depth[root] = 0
+    q = deque([root])
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    while q:
+        u = q.popleft()
+        for v in sorted(indices[indptr[u]:indptr[u + 1]], key=rank.__getitem__):
+            if depth[v] == -1:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                children[u].append(v)
+                q.append(v)
+    alive = [True] * n
+    net = []
+    for v in sorted(range(n), key=lambda v: (-depth[v], rank[v])):
+        if not alive[v]:
+            continue
+        if depth[v] <= r:
+            d = distances(g, net, cutoff=r) if net else np.full(n, -1)
+            if any(alive[w] and d[w] == -1 for w in range(n)):
+                net.append(root)
+            break
+        u = v
+        for _ in range(r):
+            u = parent[u]
+        net.append(u)
+        stack = [u]
+        alive[u] = False
+        while stack:
+            for b in children[stack.pop()]:
+                if alive[b]:
+                    alive[b] = False
+                    stack.append(b)
+    return tuple(sorted(net))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5])
+def test_greedy_net_matches_the_reference_on_the_corpus(corpus, r):
+    for i, (name, g) in enumerate(corpus):
+        for priority in (None, rng_for(900 + 10 * i + r).random(g.n)):
+            net = greedy_tree_net(g, r, priority=priority)
+            assert net.vertices.ids == reference_greedy_tree_net(g, r, priority), name
+            assert net.verified
+
+
+@given(seed=st.integers(0, 10_000), r=st.integers(0, 4))
+def test_greedy_net_matches_the_reference_on_random_graphs(seed, r):
+    g = random_connected_graph(seed, n_max=30)
+    priority = rng_for(seed + 3).random(g.n) if seed % 2 else None
+    assert greedy_tree_net(g, r, priority).vertices.ids == reference_greedy_tree_net(g, r, priority)
 
 
 @given(seed=st.integers(0, 10_000), r=st.integers(0, 4))

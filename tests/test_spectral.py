@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from spectop import (
     SolverCapError,
     SpectralInterval,
     Spectrum,
+    all_pairs_distances,
     ball,
     build_graph,
     eigenvalues,
@@ -232,6 +234,32 @@ def test_lambda1_balls_fall_back_to_dense_at_the_budget(monkeypatch):
     monkeypatch.setattr(spectral, "_DENSE_LAMBDA1_CAP", 4)
     with pytest.raises(SolverBudgetError):
         lambda1_balls(generate(FamilySpec("path", n=9)), 2)
+
+
+def test_lambda1_balls_far_above_the_diameter(monkeypatch):
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+    def counted(a, b):
+        if sp.issparse(b):
+            products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    c5_and_p4 = build_graph(9, [(i, (i + 1) % 5, 1.0) for i in range(5)]
+                            + [(i, i + 1, 2.0) for i in range(5, 8)])
+    graphs = [
+        random_connected_graph(11, n_min=15, n_max=25, weighted=True),
+        generate(FamilySpec("path", n=9)),
+        c5_and_p4,
+    ]
+    for g in graphs:
+        diameter = int(all_pairs_distances(g).max())
+        expected = lambda1_balls(g, diameter)
+        for r in (diameter + 1, 3 * diameter, 1000):
+            products.clear()
+            assert np.array_equal(lambda1_balls(g, r), expected)
+            # the product after the diameter adds nothing, and is the last
+            assert len(products) <= diameter + 1
 
 
 def test_spectrum_csv_format(tmp_path, cycle12):
