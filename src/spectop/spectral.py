@@ -208,6 +208,13 @@ def _lanczos_top(a: sp.spmatrix, k: int, **kwargs) -> np.ndarray:
     return np.sort(vals)[::-1]
 
 
+def _constant_row_sum(g: WeightedGraph) -> float | None:
+    """c when every row sum of A equals c, else None."""
+    # not add.reduceat over indptr, which misreads empty rows
+    sums = np.bincount(g.rows(), weights=g.weights, minlength=g.n)
+    return float(sums[0]) if sums.min() == sums.max() else None
+
+
 def lambda1(g: WeightedGraph) -> float:
     """Top eigenvalue of the adjacency matrix.
 
@@ -220,10 +227,9 @@ def lambda1(g: WeightedGraph) -> float:
     """
     if g.n == 0:
         raise GraphError("lambda1 of the empty graph is undefined")
-    # not add.reduceat over indptr, which misreads empty rows
-    sums = np.bincount(g.rows(), weights=g.weights, minlength=g.n)
-    if sums.min() == sums.max():
-        return float(sums[0])
+    c = _constant_row_sum(g)
+    if c is not None:
+        return c
     if g.n <= _DENSE_LAMBDA1_CAP:
         return float(scipy.linalg.eigvalsh(g.dense())[-1])
     return float(_lanczos_top(g.csr, 1, tol=1e-12)[0])
@@ -234,10 +240,14 @@ class InertiaCounts:
 
     ``below(sigma)`` is the number of negative pivots of A - sigma I in a
     sparse LU with diagonal pivoting, which by Sylvester's law of inertia is
-    the number of eigenvalues < sigma; it is computed once per shift.
+    the number of eigenvalues < sigma; it is computed once per shift, each
+    shift after the first in the first one's fill-reducing (MMD) order (a
+    symmetric permutation keeps the inertia).
+
+    ``top(1)`` of equal row sums c is c, as in :func:`lambda1`. Otherwise
     ``top(k)`` finds lambda_k by Lanczos, or by shift-invert Lanczos above
     the row-sum bound when the top gap is too small for plain Lanczos, and
-    certifies it to within ``TOL_EIG`` by the counts at lambda_k +- TOL_EIG.
+    certifies it to within ``TOL_EIG`` (see ``_certifies``).
 
     The answer comes from the dense spectrum, computed once, when the
     factorization leaves the diagonal, meets a zero pivot or is not accurate
@@ -253,16 +263,21 @@ class InertiaCounts:
         self.g = g
         self.n = g.n
         self.cap = cap
-        self._below: dict[float, int | None] = {}
+        # per shift: the count and the last inverse-iteration vector, or None
+        self._below: dict[float, tuple[int, np.ndarray] | None] = {}
         self._spectrum: Spectrum | None = None
+        # the shared ordering q and A[q][:, q], set by the first factorization
+        self._order: np.ndarray | None = None
+        self._permuted: sp.csr_matrix | None = None
 
     def _dense(self) -> Spectrum:
         if self._spectrum is None:
             self._spectrum = eigenvalues(self.g, self.cap, compute_residual=False)
         return self._spectrum
 
-    def _negative_pivots(self, sigma: float) -> int | None:
-        """Negative pivots of A - sigma I, or None when they do not certify its inertia.
+    def _negative_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
+        """Negative pivots of A - sigma I and a unit vector v, or None when
+        the pivots do not certify its inertia.
 
         Without stability pivoting, the computed factors are the exact
         factors of A - sigma I + E with ``|E|`` up to about eps ``|L||U|``.
@@ -271,15 +286,22 @@ class InertiaCounts:
         which a few steps of inverse iteration estimate. Shifts within ~1e-8
         of an interior or multiple eigenvalue fail this test (and did
         miscount on hypercubes, cycles and tori); shifts near lambda_2 pass it.
+        v is the last iterate, close to an eigenvector of the eigenvalue
+        nearest sigma.
         """
-        shifted = (self.g.csr - sigma * sp.identity(self.n, format="csr")).tocsc()
+        first = self._order is None
+        a = self.g.csr if first else self._permuted
+        shifted = (a - sigma * sp.identity(self.n, format="csr")).tocsc()
         try:
             lu = scipy.sparse.linalg.splu(
-                shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
+                shifted, permc_spec="MMD_AT_PLUS_A" if first else "NATURAL",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
             )
         except RuntimeError:  # a pivot is exactly zero
             return None
+        if first:
+            self._order = np.argsort(lu.perm_c)
+            self._permuted = self.g.csr[self._order][:, self._order]
         if not np.array_equal(lu.perm_r, lu.perm_c):
             return None
         # |L| |U| 1, without abs(), which would sort the factors' indices first
@@ -289,7 +311,9 @@ class InertiaCounts:
                 (np.abs(factor.data), factor.indices, factor.indptr), shape=factor.shape
             ) @ row_sums
         backward = np.finfo(np.float64).eps * np.max(row_sums)
-        v = np.random.default_rng(0).standard_normal(self.n)
+        # the start vector in the factored matrix's coordinates
+        order = np.arange(self.n) if first else self._order
+        v = np.random.default_rng(0).standard_normal(self.n)[order]
         v /= np.linalg.norm(v)
         for _ in range(4):
             w = lu.solve(v)
@@ -297,7 +321,9 @@ class InertiaCounts:
             v = w / inverse_norm
         if not backward * inverse_norm < 1.0:  # also when the solve overflowed
             return None
-        return int(np.count_nonzero(lu.U.diagonal() < 0))
+        vector = np.empty(self.n)
+        vector[order] = v
+        return int(np.count_nonzero(lu.U.diagonal() < 0)), vector
 
     def below(self, sigma: float, inclusive: bool = False) -> int:
         """Number of eigenvalues < sigma (<= sigma when ``inclusive``).
@@ -307,15 +333,58 @@ class InertiaCounts:
         """
         if sigma not in self._below:
             self._below[sigma] = self._negative_pivots(sigma)
-        count = self._below[sigma]
-        if count is None:
+        entry = self._below[sigma]
+        if entry is None:
             return self._dense().below(sigma, inclusive)
-        return count
+        return entry[0]
+
+    def _encloses(self, v: np.ndarray, lo: float, hi: float) -> bool:
+        """Whether the residual of v puts an eigenvalue of A in [lo, hi).
+
+        For symmetric A, any v != 0 and any rho, some eigenvalue lies within
+        ``||Av - rho v|| / ||v||`` of rho. Rounding term: the float residual
+        is off by at most gamma ``||(|A| + |rho|) |v|||`` and each norm by a
+        factor 1 +- gamma, with gamma = j eps / (1 - j eps) and
+        j = n + (longest row) + 8; the radius adds both, and the interval's
+        ends are rounded outwards by one ulp.
+        """
+        a = self.g.csr
+        av = a @ v
+        rho = float(v @ av) / float(v @ v)
+        resid = np.linalg.norm(av - rho * v)
+        scale = np.linalg.norm(a @ np.abs(v) + abs(rho) * np.abs(v))  # weights are positive
+        j = self.n + int(np.diff(a.indptr).max()) + 8
+        eps = np.finfo(np.float64).eps
+        gamma = j * eps / (1.0 - j * eps)
+        radius = (resid + gamma * scale) * (1.0 + gamma) / ((1.0 - gamma) * np.linalg.norm(v))
+        return lo <= np.nextafter(rho - radius, -np.inf) and np.nextafter(rho + radius, np.inf) < hi
+
+    def _certifies(self, x: float, k: int) -> bool:
+        """Whether lambda_k lies within ``TOL_EIG`` of x.
+
+        The count at x + ``TOL_EIG`` must leave at most k - 1 eigenvalues
+        above it. When it leaves exactly k - 1, an eigenvalue that the
+        residual of its last inverse-iteration vector encloses in
+        [x - ``TOL_EIG``, x + ``TOL_EIG``) makes k at or above x - ``TOL_EIG``;
+        otherwise (as when lambda_1 is within ``TOL_EIG`` of lambda_2) the
+        count at x - ``TOL_EIG`` must show them.
+        """
+        lo, hi = x - TOL_EIG, x + TOL_EIG
+        above = self.n - self.below(hi, True)
+        if above > k - 1:
+            return False
+        entry = self._below[hi]
+        if above == k - 1 and entry is not None and self._encloses(entry[1], lo, hi):
+            return True
+        return self.below(lo) <= self.n - k
 
     def top(self, k: int) -> float:
         """The k-th largest eigenvalue, k <= 2."""
         if not 1 <= k <= min(2, self.n):
             raise GraphError(f"top({k}) needs 1 <= k <= min(2, n={self.n})")
+        c = _constant_row_sum(self.g) if k == 1 else None
+        if c is not None:
+            return c
         if self.g.m == 0:
             return 0.0
         if self._spectrum is None and k < self.n - 1:
@@ -326,7 +395,7 @@ class InertiaCounts:
                     x = float(_lanczos_top(a, k, **shift)[k - 1])
                 except SolverBudgetError:
                     continue
-                if self.below(x - TOL_EIG) <= self.n - k < self.below(x + TOL_EIG, True):
+                if self._certifies(x, k):
                     return x
         return self._dense().top(k)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -38,7 +39,8 @@ from spectop import (
     trace_power,
 )
 from spectop import spectral
-from spectop.cli import EN_ROUTE_THETA_CAP, main
+from spectop.cli import EN_ROUTE_THETA_CAP, _second_eig, graph_provider, main
+from spectop.rng import trial_seed
 from spectop.spectral import TOL_EIG
 
 from conftest import random_connected_graph
@@ -314,21 +316,162 @@ def check_intervals(g, xs):
     return out
 
 
+def reference_top(g, k):
+    """``InertiaCounts.top(k)`` certified by two counts, as before the
+    residual enclosure and the row-sum rule: Lanczos, then shift-invert
+    Lanczos, each accepted when the counts at x -+ TOL_EIG leave at least k
+    eigenvalues at or above x - TOL_EIG and at most k - 1 above x + TOL_EIG,
+    else the dense value. The counts come from the dense spectrum."""
+    dense = eigenvalues(g, compute_residual=False)
+    if g.m == 0:
+        return 0.0
+    if k < g.n - 1:
+        a = g.csr
+        bound = float(a.sum(axis=1).max())
+        for shift in ({}, {"sigma": bound + 1e-6 * max(bound, 1.0)}):
+            try:
+                x = float(spectral._lanczos_top(a, k, **shift)[k - 1])
+            except SolverBudgetError:
+                continue
+            if dense.below(x - TOL_EIG) <= g.n - k < dense.below(x + TOL_EIG, True):
+                return x
+    return dense.top(k)
+
+
+def assert_tops_and_counts(g, name):
+    """On a fresh ``InertiaCounts`` each: top(2), and top(1) unless the row
+    sums are all equal, are bit-equal to ``reference_top``; top(1) of equal
+    row sums c is c, as ``lambda1`` has it. Every count over
+    ``check_intervals`` equals the dense count. Returns the counts used."""
+    spec = eigenvalues(g, compute_residual=False)
+    top2 = InertiaCounts(g).top(2)
+    assert top2 == reference_top(g, 2), name
+    top1 = InertiaCounts(g).top(1)
+    sums = np.asarray(g.csr.sum(axis=1)).ravel()
+    if sums.min() == sums.max():
+        assert top1 == sums[0] == lambda1(g), name
+    else:
+        assert top1 == reference_top(g, 1), name
+    for k, top in ((1, top1), (2, top2)):
+        assert abs(top - spec.top(k)) <= TOL_EIG, (name, k)
+    counts = InertiaCounts(g)
+    lam1, lam2 = spec.top(1), spec.top(2)
+    xs = (lam2, top2, 0.75 * lam1, lam1 / 2.0, max(lam2, g.w_min))
+    for iv in check_intervals(g, xs):
+        assert m_count(counts, iv) == m_count(spec, iv), (name, iv.describe())
+        assert mu(counts, iv) == mu(spec, iv)
+    return counts, spec
+
+
 def test_inertia_counts_match_dense_on_corpus(corpus):
     for name, g in corpus:
-        spec = eigenvalues(g, compute_residual=False)
-        counts = InertiaCounts(g)
+        counts, spec = assert_tops_and_counts(g, name)
         for k in (1, 2):
-            assert abs(counts.top(k) - spec.top(k)) <= 1e-12, (name, k)
-        lam1, lam2 = spec.top(1), spec.top(2)
-        xs = (lam2, counts.top(2), 0.75 * lam1, lam1 / 2.0, max(lam2, g.w_min))
-        for iv in check_intervals(g, xs):
-            assert m_count(counts, iv) == m_count(spec, iv), (name, iv.describe())
-            assert mu(counts, iv) == mu(spec, iv)
+            assert abs(InertiaCounts(g).top(k) - spec.top(k)) <= 1e-12, (name, k)
         # the factorization certifies every shift not within 2 tol of an
         # eigenvalue (tori have lambda_1 / 2 = 2 in their spectrum)
-        for sigma, count in counts._below.items():
-            assert count is not None or np.min(np.abs(spec.values - sigma)) < 2 * TOL_EIG
+        for sigma, entry in counts._below.items():
+            assert entry is not None or np.min(np.abs(spec.values - sigma)) < 2 * TOL_EIG
+
+
+CYCLE, RR4 = {"family": "cycle"}, {"family": "random-regular", "d": 4}
+SWEEP_SIZES = [2**k for k in range(8, 13)]
+
+
+def sweep_row_graph(fam, n, seed=17):
+    """The graph and trial seed of one row of the criterion 11 sweep."""
+    i = [CYCLE, RR4].index(fam) * len(SWEEP_SIZES) + SWEEP_SIZES.index(n)
+    return graph_provider({**fam, "n": n})(trial_seed(seed, i)), trial_seed(seed, i)
+
+
+@pytest.mark.parametrize("fam, n", [(CYCLE, 256), (CYCLE, 512), (RR4, 256), (RR4, 512)],
+                         ids=["cycle-256", "cycle-512", "rr4-256", "rr4-512"])
+def test_inertia_counts_match_the_reference_on_sweep_rows(fam, n):
+    g, _ = sweep_row_graph(fam, n)
+    assert_tops_and_counts(g, f"{fam['family']} n={n}")
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_inertia_counts_match_the_reference_on_weighted_graphs(seed):
+    assert_tops_and_counts(random_connected_graph(seed, n_min=3, n_max=40, weighted=True), seed)
+
+
+@pytest.mark.parametrize("fam", [CYCLE, RR4], ids=["cycle", "random-regular"])
+def test_second_eig_row_orders_once_and_factors_three_times(fam, monkeypatch):
+    """x + TOL_EIG's count and its vector certify lambda_2; the row then
+    needs the two window counts, each in the first factorization's order."""
+    g, seed = sweep_row_graph(fam, 512)
+    real_splu = scipy.sparse.linalg.splu
+    orderings, sizes = [], []
+
+    def recorded(*args, **kwargs):
+        orderings.append(kwargs["permc_spec"])
+        lu = real_splu(*args, **kwargs)
+        sizes.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    _second_eig(g, seed, argparse.Namespace(cap=spectral.DEFAULT_SOLVER_CAP))
+    assert orderings == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
+    assert sizes == [sizes[0]] * 3  # the shared order keeps the first one's fill
+
+
+def test_two_counts_certify_lambda2_next_to_lambda1():
+    # two disjoint 8-cycles: lambda_1 = lambda_2 = 2
+    g = build_graph(16, [(o + i, o + (i + 1) % 8, 1.0) for o in (0, 8) for i in range(8)])
+    assert_tops_and_counts(g, "C8 + C8")
+    counts = InertiaCounts(g)
+    x = counts.top(2)
+    assert set(counts._below) == {x - TOL_EIG, x + TOL_EIG}
+
+
+@pytest.mark.parametrize("fake", ["random", "lambda1"])
+def test_a_wrong_vector_fails_the_enclosure(corpus, monkeypatch, fake):
+    _, g = corpus[7]  # random-regular n=150 d=4
+    x = reference_top(g, 2)
+    for first_shift in ((), (0.1,)):  # x + TOL_EIG factored first, or in the shared order
+        counts = InertiaCounts(g)
+        for sigma in first_shift:
+            counts.below(sigma)
+            assert counts._below[sigma] is not None
+        assert counts.top(2) == x and x - TOL_EIG not in counts._below
+    if fake == "random":
+        vector = np.random.default_rng(5).standard_normal(g.n)
+    else:
+        vector = np.ones(g.n)  # the lambda_1 eigenvector of a regular graph
+    vector /= np.linalg.norm(vector)
+    real_pivots, real_encloses = InertiaCounts._negative_pivots, InertiaCounts._encloses
+    verdicts = []
+
+    def faked(self, sigma):
+        entry = real_pivots(self, sigma)
+        return entry if entry is None else (entry[0], vector)
+
+    def recorded(self, *args):
+        verdicts.append(real_encloses(self, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(InertiaCounts, "_negative_pivots", faked)
+    monkeypatch.setattr(InertiaCounts, "_encloses", recorded)
+    counts = InertiaCounts(g)
+    assert counts.top(2) == x
+    assert verdicts == [False] and x - TOL_EIG in counts._below
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_enclosures_hold_an_eigenvalue(seed):
+    g = random_connected_graph(seed, n_min=3, n_max=30, weighted=True)
+    vals, vecs = scipy.linalg.eigh(g.dense())
+    counts = InertiaCounts(g)
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(g.n))
+    assert counts._encloses(vecs[:, j], vals[j] - 1e-9, vals[j] + 1e-9)
+    for v in (rng.standard_normal(g.n), vecs[:, j] + 1e-6 * rng.standard_normal(g.n)):
+        rho = float(v @ (g.csr @ v) / (v @ v))
+        for t in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1.0, 10.0):
+            for lo, hi in ((rho - t, rho + t), (rho, rho + t), (rho - t, rho)):
+                if counts._encloses(v, lo, hi):
+                    assert np.any((vals >= lo) & (vals < hi)), (lo, hi)
 
 
 CLOSED_FORMS = [
@@ -365,15 +508,18 @@ def test_inertia_counts_at_exact_eigenvalues(spec, values):
         want = m_count(exact, iv)
         assert m_count(dense, iv) == want, iv.describe()
         assert m_count(counts, iv) == want, iv.describe()
-    assert counts.top(1) == pytest.approx(exact.top(1), abs=1e-12)
+    assert counts.top(1) == exact.top(1)
     assert counts.top(2) == pytest.approx(exact.top(2), abs=1e-12)
+    assert_tops_and_counts(g, spec.describe())
 
 
 def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
     """A factorization off the diagonal and a Lanczos that never converges
-    leave every count and top eigenvalue as the dense spectrum has them."""
-    _, g = corpus[7]  # random-regular n=150 d=4
-    spec = eigenvalues(g, compute_residual=False)
+    leave every count and top eigenvalue as the dense spectrum has them,
+    except top(1) of equal row sums, which needs neither."""
+    irregular = random_connected_graph(7, n_min=60, n_max=60, weighted=True)
+    graphs = [corpus[7][1], irregular]  # random-regular n=150 d=4
+    spectra = [eigenvalues(g, compute_residual=False) for g in graphs]
     real_splu = scipy.sparse.linalg.splu
 
     class OffDiagonal:
@@ -393,11 +539,13 @@ def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda *a, **k: OffDiagonal(real_splu(*a, **k)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     monkeypatch.setattr(spectral, "eigenvalues", counted)
-    counts = InertiaCounts(g)
-    assert counts.top(1) == spec.top(1) and counts.top(2) == spec.top(2)
-    for iv in check_intervals(g, (spec.top(2), 0.75 * spec.top(1))):
-        assert m_count(counts, iv) == m_count(spec, iv), iv.describe()
-    assert len(dense_calls) == 1
+    for g, spec, top1 in zip(graphs, spectra, (4.0, spectra[1].top(1))):
+        dense_calls.clear()
+        counts = InertiaCounts(g)
+        assert counts.top(1) == top1 and counts.top(2) == spec.top(2)
+        for iv in check_intervals(g, (spec.top(2), 0.75 * spec.top(1))):
+            assert m_count(counts, iv) == m_count(spec, iv), iv.describe()
+        assert len(dense_calls) == 1
 
 
 def test_inertia_counts_zero_pivot_and_small_graphs():
