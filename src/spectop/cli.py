@@ -949,7 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", choices=["main", "expander", "second-eig"], required=True)
     sp.add_argument("--x", type=float)
     sp.add_argument("--theta", type=float)
-    sp.add_argument("--c", type=float, help="assumed expansion constant (expander variant)")
+    sp.add_argument("--c", type=float, help="assumed expansion constant (expander variant), "
+                    "taken on trust: no check certifies or falsifies it")
     sp.add_argument("--cap", type=int, default=DEFAULT_SOLVER_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")

@@ -29,7 +29,6 @@ __all__ = [
     "GraphFormatError",
     "VertexSet",
     "WeightedGraph",
-    "SpotCheckResult",
     "build_graph",
     "distances",
     "all_pairs_distances",
@@ -39,14 +38,11 @@ __all__ = [
     "is_connected",
     "is_r_net",
     "is_s_separated",
-    "expander_spot_check",
     "read_graph",
     "write_graph",
 ]
 
 UNREACHABLE = -1
-
-EXACT_SPOT_CHECK_MAX_N = 20
 
 
 class GraphError(ValueError):
@@ -390,10 +386,25 @@ def ball(g: WeightedGraph, v: int, r: int) -> tuple[WeightedGraph, tuple[int, ..
 def is_connected(g: WeightedGraph) -> bool:
     if g.n <= 1:
         return True
-    return not (distances(g, 0) == UNREACHABLE).any()
+    return sp.csgraph.connected_components(g.csr, directed=False, return_labels=False) == 1
 
 
 # -- net and separation predicates ----------------------------------------
+
+
+def _covered(adj: sp.csr_matrix, mask: np.ndarray, r: int) -> np.ndarray:
+    """Mask of the vertices within ``r`` hops of ``mask`` along ``adj``.
+
+    At most ``r`` sparse products, stopping at the first that adds no
+    vertex. ``adj`` has positive entries where it has edges; the result may
+    be ``mask`` itself.
+    """
+    for _ in range(r):
+        grown = mask | (adj @ mask > 0)
+        if np.array_equal(grown, mask):
+            break
+        mask = grown
+    return mask
 
 
 def is_r_net(g: WeightedGraph, w: Iterable[int], r: int) -> bool:
@@ -401,13 +412,12 @@ def is_r_net(g: WeightedGraph, w: Iterable[int], r: int) -> bool:
 
     The empty set is an r-net only of the empty graph.
     """
-    w = list(w)
-    if g.n == 0:
-        return True
-    if not w:
-        return False
-    d = distances(g, w, cutoff=r)
-    return not (d == UNREACHABLE).any()
+    ids = np.fromiter(w, dtype=np.int64)
+    if len(ids) and (ids.min() < 0 or ids.max() >= g.n):
+        raise VertexRangeError(f"net vertex out of range 0..{g.n - 1}")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[ids] = True
+    return bool(_covered(g.csr, mask, r).all())
 
 
 def is_s_separated(g: WeightedGraph, w: Iterable[int], s: int) -> bool:
@@ -423,102 +433,6 @@ def is_s_separated(g: WeightedGraph, w: Iterable[int], s: int) -> bool:
         if any(h != v for h in hits):
             return False
     return True
-
-
-# -- expander spot check ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpotCheckResult:
-    """Outcome of a vertex-expansion spot check.
-
-    ``verdict`` is ``"certified"`` (exact mode, all subsets checked),
-    ``"falsified"`` (a witness subset violating the expansion inequality,
-    stored in ``witness``), or ``"inconclusive"`` (sampling found nothing).
-    """
-
-    verdict: str
-    c: float
-    witness: VertexSet | None
-    subsets_checked: int
-
-
-def _boundary_size(g: WeightedGraph, inside: set[int]) -> int:
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(inside)] = True
-    return int((g.csr @ mask > 0)[~mask].sum())
-
-
-def expander_spot_check(
-    g: WeightedGraph,
-    c: float,
-    mode: str = "monte-carlo",
-    budget: int = 2000,
-    seed: int = 0,
-) -> SpotCheckResult:
-    """Check the vertex-expansion property |N(S) \\ S| >= c|S| for |S| <= n/2.
-
-    Exact mode enumerates all subsets and either certifies or falsifies; it
-    refuses graphs with more than ``EXACT_SPOT_CHECK_MAX_N`` vertices.
-    Monte-carlo mode samples connected subsets grown by randomized BFS; it can
-    falsify but never certify, returning ``inconclusive`` when the budget is
-    exhausted.
-    """
-    if c < 0:
-        raise GraphError("expansion constant must be nonnegative")
-    n = g.n
-    half = n / 2.0
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    if mode == "exact":
-        if n > EXACT_SPOT_CHECK_MAX_N:
-            raise GraphError(
-                f"exact spot check limited to n <= {EXACT_SPOT_CHECK_MAX_N}"
-            )
-        nbr_mask = [sum(1 << v for v in indices[indptr[u]:indptr[u + 1]]) for u in range(n)]
-        checked = 0
-        # DP over subsets: neighborhood mask of S = mask of lowest bit | rest.
-        nbhd = [0] * (1 << n)
-        for s_mask in range(1, 1 << n):
-            low = s_mask & (-s_mask)
-            v = low.bit_length() - 1
-            nbhd[s_mask] = nbhd[s_mask ^ low] | nbr_mask[v]
-            size = s_mask.bit_count()
-            if size > half:
-                continue
-            checked += 1
-            outside = (nbhd[s_mask] & ~s_mask).bit_count()
-            if outside < c * size:
-                witness = VertexSet.of(
-                    (v for v in range(n) if s_mask >> v & 1), n
-                )
-                return SpotCheckResult("falsified", c, witness, checked)
-        return SpotCheckResult("certified", c, None, checked)
-    if mode != "monte-carlo":
-        raise GraphError(f"unknown spot check mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(budget):
-        if n == 0:
-            break
-        start = int(rng.integers(n))
-        target = int(rng.integers(1, max(2, n // 2 + 1)))
-        inside = {start}
-        frontier = indices[indptr[start]:indptr[start + 1]]
-        while len(inside) < target and frontier:
-            pick = int(rng.integers(len(frontier)))
-            u = frontier.pop(pick)
-            if u in inside:
-                continue
-            inside.add(u)
-            frontier.extend(v for v in indices[indptr[u]:indptr[u + 1]] if v not in inside)
-        if len(inside) > half:
-            continue
-        checked += 1
-        if _boundary_size(g, inside) < c * len(inside):
-            return SpotCheckResult(
-                "falsified", c, VertexSet.of(inside, n), checked
-            )
-    return SpotCheckResult("inconclusive", c, None, checked)
 
 
 # -- file format -------------------------------------------------------------

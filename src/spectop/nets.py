@@ -25,12 +25,11 @@ from .graphs import (
     GraphError,
     VertexSet,
     WeightedGraph,
+    _covered,
     delete_vertices,
-    distances,
     is_r_net,
-    UNREACHABLE,
 )
-from .spectral import lambda1, lambda1_balls
+from .spectral import lambda1
 
 __all__ = [
     "NetResult",
@@ -38,13 +37,10 @@ __all__ = [
     "DropReport",
     "greedy_tree_net",
     "random_expander_net",
-    "separated_subset_greedy",
-    "high_radius_set",
     "net_removal_drop_check",
 ]
 
 DROP_CHECK_TOL = 1e-8
-HIGH_RADIUS_TOL = 1e-10
 
 
 class NotANetError(GraphError):
@@ -184,12 +180,7 @@ def _tree_net(
     for _ in range(r):
         root = parent[root]
         left &= ~net[root]
-    covered = net.copy()
-    for _ in range(r):
-        grown = covered | (adj @ covered > 0)
-        if (grown == covered).all():
-            break
-        covered = grown
+    covered = _covered(adj, net, r)
     net[root[left & ~covered[near]]] = True
     return net
 
@@ -208,49 +199,9 @@ def random_expander_net(
     if not 0.0 <= p <= 1.0:
         raise GraphError("sampling probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    u = rng.random(g.n)
-    w0 = np.flatnonzero(u < p).tolist()
-    if w0:
-        d = distances(g, w0, cutoff=r)
-        far = np.flatnonzero(d == UNREACHABLE).tolist()
-    else:
-        far = list(range(g.n))
-    return _finish(g, "expander-random", r, w0 + far)
-
-
-def separated_subset_greedy(g: WeightedGraph, u: VertexSet, s: int) -> VertexSet:
-    """Maximal s-separated subset of ``u``, greedy by ascending vertex id.
-
-    Every vertex of ``u`` ends up within distance < s of the output (else it
-    would have been taken), which is the maximality the density argument
-    needs.
-    """
-    if s < 0:
-        raise GraphError("separation must be nonnegative")
-    if s <= 1:
-        return u
-    chosen: list[int] = []
-    # distance from the chosen set so far; refreshed incrementally per pick
-    best = np.full(g.n, np.iinfo(np.int64).max, dtype=np.int64)
-    for v in u.ids:
-        if best[v] >= s:
-            chosen.append(v)
-            d = distances(g, v, cutoff=s - 1)
-            reached = d != UNREACHABLE
-            np.minimum(best, np.where(reached, d, best), out=best)
-    return VertexSet.of(chosen, g.n)
-
-
-def high_radius_set(g: WeightedGraph, x: float, s: int) -> VertexSet:
-    """Vertices whose radius-(s+1) ball has top eigenvalue exceeding ``x``.
-
-    The comparison is strict with slack ``HIGH_RADIUS_TOL``: values within
-    the slack of ``x`` count as not exceeding.
-    """
-    if s < 0:
-        raise GraphError("s must be nonnegative")
-    tops = lambda1_balls(g, s + 1)
-    return VertexSet.of(np.flatnonzero(tops > x + HIGH_RADIUS_TOL).tolist(), g.n)
+    w0 = rng.random(g.n) < p
+    far = ~_covered(g.csr, w0, r)
+    return _finish(g, "expander-random", r, np.flatnonzero(w0 | far).tolist())
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from spectop import FamilySpec, WeightedGraph, build_graph, generate
 from spectop.rng import rng_for
@@ -44,6 +46,20 @@ def random_connected_graph(
         for key in edges:
             edges[key] = float(rng.uniform(0.5, 2.0))
     return build_graph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def random_graph(n: int, seed: int) -> WeightedGraph:
+    """Graph on ``n >= 0`` vertices, each pair an edge with one random
+    probability below 0.4: often disconnected, sometimes edgeless."""
+    rng = rng_for(seed)
+    p = 0.4 * rng.random()
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(len(u)) < p
+    return build_graph(n, [(a, b, 1.0) for a, b in zip(u[keep].tolist(), v[keep].tolist())])
+
+
+# graphs of up to 16 vertices, empty and disconnected ones included
+graphs = st.builds(random_graph, n=st.integers(0, 16), seed=st.integers(0, 10_000))
 
 
 def finite_family_corpus() -> list[tuple[str, WeightedGraph]]:

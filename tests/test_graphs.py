@@ -1,4 +1,4 @@
-"""Graph container, metrics, predicates, file format, spot checks."""
+"""Graph container, metrics, predicates, file format."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from spectop import (
     AsymmetricWeightError,
     DisconnectedGraphError,
     DuplicateEdgeError,
-    FamilySpec,
     GraphFormatError,
     NonpositiveWeightError,
     SelfLoopError,
@@ -24,8 +23,6 @@ from spectop import (
     build_graph,
     delete_vertices,
     distances,
-    expander_spot_check,
-    generate,
     induced_subgraph,
     is_connected,
     is_r_net,
@@ -36,7 +33,7 @@ from spectop import (
 )
 from spectop.graphs import UNREACHABLE, GraphError
 
-from conftest import random_connected_graph
+from conftest import graphs, random_connected_graph
 
 
 def test_build_graph_basic_metrics():
@@ -232,6 +229,26 @@ def test_is_r_net_hand_cases(path7):
     assert is_r_net(path7, [1, 3, 5], 1)
     assert is_r_net(path7, range(7), 0)
     assert not is_r_net(path7, [], 1)
+    assert is_r_net(path7, [0], 100)  # r far above the diameter
+    two_paths = build_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+    assert not is_r_net(two_paths, [1], 100)
+    assert is_r_net(two_paths, [1, 4], 1)
+    assert not is_r_net(two_paths, [0, 3], 1)
+
+
+@given(g=graphs, w=st.sets(st.integers(0, 15)))
+def test_is_r_net_matches_distances(g, w):
+    w = sorted(v for v in w if v < g.n)
+    for r in range(g.n + 2):  # up to above the diameter
+        assert is_r_net(g, w, r) == (distances(g, w, cutoff=r) != UNREACHABLE).all()
+
+
+def test_is_r_net_rejects_out_of_range_vertices(path7):
+    for w in ([-1], [7], [3, -2], [0, 99]):
+        with pytest.raises(VertexRangeError):
+            is_r_net(path7, w, 2)
+    with pytest.raises(VertexRangeError):
+        is_r_net(build_graph(0, []), [0], 1)
 
 
 def test_empty_set_is_net_only_of_empty_graph():
@@ -297,41 +314,6 @@ def test_read_graph_skips_comments(tmp_path):
     path.write_text("# a comment\n2 1\n0 1 1.5\n")
     g = read_graph(str(path))
     assert g.n == 2 and g.m == 1 and g.w_max == 1.5
-
-
-def test_spot_check_exact_certifies_cycle_expansion():
-    g = generate(FamilySpec("cycle", n=8))
-    # worst subset is a 4-arc: 2 outside neighbours, so expansion is 1/2
-    res = expander_spot_check(g, 0.5, mode="exact")
-    assert res.verdict == "certified"
-    res2 = expander_spot_check(g, 0.51, mode="exact")
-    assert res2.verdict == "falsified"
-    assert res2.witness is not None
-    inside = set(res2.witness.ids)
-    outside = set(g.csr[sorted(inside)].indices.tolist()) - inside
-    assert len(outside) < 0.51 * len(inside)
-
-
-def test_spot_check_exact_refuses_large_graphs():
-    g = generate(FamilySpec("cycle", n=30))
-    with pytest.raises(Exception):
-        expander_spot_check(g, 0.1, mode="exact")
-
-
-def test_spot_check_monte_carlo_falsifies_long_cycle():
-    g = generate(FamilySpec("cycle", n=40))
-    res = expander_spot_check(g, 0.5, mode="monte-carlo", budget=500, seed=1)
-    assert res.verdict in ("falsified", "inconclusive")
-    if res.verdict == "falsified":
-        inside = set(res.witness.ids)
-        outside = set(g.csr[sorted(inside)].indices.tolist()) - inside
-        assert len(outside) < 0.5 * len(inside)
-
-
-def test_spot_check_monte_carlo_never_certifies():
-    g = generate(FamilySpec("complete", n=10))
-    res = expander_spot_check(g, 0.1, mode="monte-carlo", budget=50, seed=0)
-    assert res.verdict == "inconclusive"
 
 
 @given(seed=st.integers(0, 10_000))

@@ -7,8 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spectop import (
@@ -16,23 +15,19 @@ from spectop import (
     FamilySpec,
     GraphError,
     NetResult,
-    ball,
     build_graph,
     distances,
     generate,
     greedy_tree_net,
-    high_radius_set,
     is_r_net,
-    is_s_separated,
     lambda1,
     net_removal_drop_check,
     random_expander_net,
-    separated_subset_greedy,
 )
 from spectop.graphs import VertexSet
 from spectop.rng import rng_for
 
-from conftest import random_connected_graph
+from conftest import graphs, random_connected_graph
 
 
 def test_greedy_net_path3_radius1():
@@ -159,9 +154,10 @@ def test_greedy_net_priority_keeps_net_property(seed):
     assert len(net.vertices) <= math.ceil(g.n / 3)
 
 
-def test_expander_net_membership_rule():
-    g = generate(FamilySpec("cycle", n=40))
-    r, p, seed = 2, 0.3, 5
+@given(g=graphs, r=st.integers(0, 20), p=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 1_000))
+@example(g=generate(FamilySpec("cycle", n=40)), r=2, p=0.3, seed=5)
+def test_expander_net_membership_rule(g, r, p, seed):
     net = random_expander_net(g, r, p, seed)
     draws = rng_for(seed).random(g.n)
     w0 = [v for v in range(g.n) if draws[v] < p]
@@ -193,35 +189,6 @@ def test_expander_net_p_zero_takes_everything():
     g = generate(FamilySpec("cycle", n=12))
     net = random_expander_net(g, 2, 0.0, 0)
     assert len(net.vertices) == g.n
-
-
-@given(seed=st.integers(0, 5_000), s=st.integers(1, 5))
-def test_separated_subset_is_separated_and_covering(seed, s):
-    g = random_connected_graph(seed, n_max=25)
-    u = VertexSet.of(range(0, g.n, 2), g.n)
-    w = separated_subset_greedy(g, u, s)
-    assert set(w.ids) <= set(u.ids)
-    assert is_s_separated(g, w, s)
-    # every dropped vertex of u is blocked by a kept one within distance < s
-    kept = list(w.ids)
-    if kept:
-        d = distances(g, kept)
-        for v in u.ids:
-            if v not in set(kept):
-                assert 0 <= d[v] < s
-
-
-def test_high_radius_set_definition():
-    g = generate(FamilySpec("path", n=9))
-    x, s = 1.8, 1
-    hs = high_radius_set(g, x, s)
-    members = set(hs.ids)
-    for v in range(g.n):
-        top = scipy.linalg.eigvalsh(ball(g, v, s + 1)[0].dense())[-1]
-        if v in members:
-            assert top > x + 1e-10
-        else:
-            assert top <= x + 1e-10
 
 
 @given(seed=st.integers(0, 4_000), r=st.integers(1, 3))
