@@ -131,9 +131,13 @@ def _ranked_bfs(
     by_rank = np.argsort(key, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[by_rank] = np.arange(n)
+    # the key in int64 (it overflows int32 above n = 46341), the index
+    # arrays in int32, which the csr_matrix constructor then does not copy
     entries = np.sort(rank[g.rows()] * n + rank[g.indices])
-    indices = np.append(entries % max(n, 1), np.sort(rank[list(roots)]))
-    indptr = np.concatenate([[0], np.diff(g.indptr)[by_rank].cumsum(), [len(indices)]])
+    indices = np.append(entries % max(n, 1), np.sort(rank[list(roots)])).astype(np.int32)
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum(np.diff(g.indptr)[by_rank], out=indptr[1:n + 1])
+    indptr[n + 1] = len(indices)
     a = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
     order, pred = sp.csgraph.breadth_first_order(a, n, directed=True, return_predecessors=True)
     pos = np.empty(n + 1, dtype=np.int64)

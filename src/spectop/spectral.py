@@ -55,9 +55,16 @@ LOCAL_GLOBAL_SLACK_TOL = 1e-6
 _DENSE_LAMBDA1_CAP = 4096
 
 # Restart budget (ARPACK's maxiter) of every Lanczos solve. Random-regular
-# d=4, n=4096 needs about 30 restarts for its top two eigenvalues; a cycle
-# of that size, whose top gap is ~1e-6, exhausts the budget in ~0.2 s.
+# d=4, n=4096 needs about 30 restarts for its top two eigenvalues; a top gap
+# below about 4e-4 of lambda_1 exhausts it (cycle n >= 256, torus 256x16).
 LANCZOS_MAXITER = 100
+
+# ``InertiaCounts.top`` tries shift-invert Lanczos before plain Lanczos when
+# its upper bound on the top gap, B - mu_2 (see ``_top_gap_bound``), is below
+# this fraction of the row-sum bound B. Plain Lanczos converged at 4.8e-4
+# (cycle n=224) and 1.4e-3 (torus 128x32) and ran out of restarts at 3.7e-4
+# (cycle n=256, torus 256x16); expanders sit above 0.1.
+SHIFT_INVERT_GAP = 1e-3
 
 # Ball tops (``lambda1_balls``): power iteration on the distinct balls side
 # by side, at most this total order per block-diagonal matrix, each ball
@@ -208,6 +215,25 @@ def _lanczos_top(a: sp.spmatrix, k: int, **kwargs) -> np.ndarray:
     return np.sort(vals)[::-1]
 
 
+def _top_gap_bound(a: sp.csr_matrix, bound: float) -> float:
+    """An upper bound on lambda_1 - lambda_2 of the symmetric ``a``, whose
+    top eigenvalue is at most ``bound``.
+
+    By Courant-Fischer, lambda_2 is at least the smaller Ritz value mu_2 of
+    ``a`` on any 2-dimensional subspace; here the span of the ones vector
+    and f, the hop distance from the vertex farthest from vertex 0 (a double
+    sweep; -1 off its component). f is not constant when n >= 2.
+    """
+    n = a.shape[0]
+    far = int(sp.csgraph.breadth_first_order(a, 0, return_predecessors=False)[-1])
+    hops = sp.csgraph.shortest_path(a, method="D", unweighted=True, indices=far)
+    f = np.where(np.isfinite(hops), hops, -1.0)
+    f -= f.mean()
+    basis = np.stack([np.full(n, 1.0 / math.sqrt(n)), f / np.linalg.norm(f)], axis=1)
+    ritz = np.linalg.eigvalsh(basis.T @ (a @ basis))
+    return bound - float(ritz[0])
+
+
 def _constant_row_sum(g: WeightedGraph) -> float | None:
     """c when every row sum of A equals c, else None."""
     # not add.reduceat over indptr, which misreads empty rows
@@ -245,9 +271,12 @@ class InertiaCounts:
     symmetric permutation keeps the inertia).
 
     ``top(1)`` of equal row sums c is c, as in :func:`lambda1`. Otherwise
-    ``top(k)`` finds lambda_k by Lanczos, or by shift-invert Lanczos above
-    the row-sum bound when the top gap is too small for plain Lanczos, and
-    certifies it to within ``TOL_EIG`` (see ``_certifies``).
+    ``top(k)`` finds lambda_k by plain Lanczos and by shift-invert Lanczos
+    above the row-sum bound B, and takes the first value it certifies to
+    within ``TOL_EIG`` (see ``_certifies``). Shift-invert goes first when
+    B - mu_2, an upper bound on the top gap (see ``_top_gap_bound``), is
+    below ``SHIFT_INVERT_GAP`` B, where plain Lanczos would run out of
+    restarts; either order ends in the same certificate.
 
     The answer comes from the dense spectrum, computed once, when the
     factorization leaves the diagonal, meets a zero pivot or is not accurate
@@ -390,7 +419,10 @@ class InertiaCounts:
         if self._spectrum is None and k < self.n - 1:
             a = self.g.csr
             bound = float(a.sum(axis=1).max())  # >= lambda_1; weights are positive
-            for shift in ({}, {"sigma": bound + 1e-6 * max(bound, 1.0)}):
+            shifts = [{}, {"sigma": bound + 1e-6 * max(bound, 1.0)}]
+            if _top_gap_bound(a, bound) < SHIFT_INVERT_GAP * bound:
+                shifts.reverse()
+            for shift in shifts:
                 try:
                     x = float(_lanczos_top(a, k, **shift)[k - 1])
                 except SolverBudgetError:

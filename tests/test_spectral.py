@@ -43,7 +43,7 @@ from spectop.cli import EN_ROUTE_THETA_CAP, _second_eig, graph_provider, main
 from spectop.rng import trial_seed
 from spectop.spectral import TOL_EIG
 
-from conftest import random_connected_graph
+from conftest import graphs, random_connected_graph
 
 EIG_ATOL = 1e-9
 
@@ -391,9 +391,55 @@ def test_inertia_counts_match_the_reference_on_sweep_rows(fam, n):
     assert_tops_and_counts(g, f"{fam['family']} n={n}")
 
 
+@pytest.mark.parametrize("spec", [FamilySpec("torus-grid", dims=(256, 4)), FamilySpec("path", n=256)],
+                         ids=lambda spec: spec.describe())
+def test_inertia_counts_match_the_reference_on_small_top_gaps(spec):
+    # top gaps of 1.5e-4 and 2.2e-4 of lambda_1: plain Lanczos runs out of restarts
+    assert_tops_and_counts(generate(spec), spec.describe())
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_inertia_counts_match_the_reference_on_weighted_graphs(seed):
     assert_tops_and_counts(random_connected_graph(seed, n_min=3, n_max=40, weighted=True), seed)
+
+
+@pytest.mark.parametrize("g, shifted", [
+    (sweep_row_graph(CYCLE, 512)[0], True),
+    (generate(FamilySpec("torus-grid", dims=(256, 4))), True),
+    (sweep_row_graph(RR4, 512)[0], False),
+], ids=["cycle-512", "torus-256x4", "rr4-512"])
+def test_the_top_gap_bound_picks_the_lanczos_that_finishes(g, shifted, monkeypatch):
+    """Small top gaps start with shift-invert, expanders with plain
+    Lanczos, and either way the first solve is certified."""
+    real_lanczos = spectral._lanczos_top
+    calls = []
+
+    def recorded(a, k, **kwargs):
+        calls.append("sigma" in kwargs)
+        return real_lanczos(a, k, **kwargs)
+
+    monkeypatch.setattr(spectral, "_lanczos_top", recorded)
+    InertiaCounts(g).top(2)
+    assert calls == [shifted]
+
+
+def reweighted(g, seed):
+    rng = np.random.default_rng(seed)
+    return build_graph(g.n, [(u, v, float(rng.uniform(0.5, 2.0))) for u, v, _ in g.edges()])
+
+
+weighted_graphs = st.one_of(
+    st.builds(reweighted, graphs.filter(lambda g: g.n >= 4), st.integers(0, 2**32 - 1)),
+    st.builds(random_connected_graph, st.integers(0, 2**32 - 1),
+              n_min=st.just(4), n_max=st.just(40), weighted=st.just(True)),
+)
+
+
+@given(weighted_graphs)
+def test_the_top_gap_bound_holds(g):
+    vals = scipy.linalg.eigvalsh(g.dense())
+    bound = float(g.csr.sum(axis=1).max())
+    assert spectral._top_gap_bound(g.csr, bound) >= vals[-1] - vals[-2] - 1e-9 * bound
 
 
 @pytest.mark.parametrize("fam", [CYCLE, RR4], ids=["cycle", "random-regular"])
