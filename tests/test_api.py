@@ -1,9 +1,12 @@
-"""The public API: every exported name resolves."""
+"""The public API: every exported name resolves, and importing it stays light."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -21,3 +24,21 @@ def test_every_exported_name_resolves(module):
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+def test_import_loads_no_quadrature_or_optimizer():
+    # scipy.integrate drags in scipy.optimize and scipy.special, which every
+    # CLI call would then pay for; the Kesten-McKay mass has a closed form
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectop.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, spectop, spectop.cli; "
+        "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -174,13 +175,73 @@ def test_kesten_normalization_and_moments(d):
 
 
 def test_kesten_moments_match_tree_dp():
-    # quadrature against the exact walk counts: M_{2n} = p_{2n} d^{2n}
-    for d in (3, 4):
+    # trapezoidal moments against the exact walk counts: M_{2n} = p_{2n} d^{2n}
+    for d in (3, 4, 6, 20):
         ref = KestenRef(d)
-        ex = tree_return_probs_exact(d, 3)
-        for n in range(4):
+        ex = tree_return_probs_exact(d, 20)
+        for n in range(21):
             want = float(ex[n] * Fraction(d) ** (2 * n))
-            assert ref.moment(2 * n) == pytest.approx(want, rel=QUAD_TOL)
+            assert ref.moment(2 * n) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", (3, 4, 8, 20))
+def test_kesten_odd_moments_are_exactly_zero(d):
+    ref = KestenRef(d)
+    for k in range(1, 42, 2):
+        assert ref.moment(k) == 0.0
+
+
+def quad_mass(d, a, b):
+    """Reference: the density integrated by adaptive quadrature after
+    x = rho cos(phi), which makes the square-root edge a smooth sin^2."""
+    rho = 2.0 * math.sqrt(d - 1.0)
+    a, b = max(a, -rho), min(b, rho)
+    if a >= b:
+        return 0.0
+    lo = math.acos(max(-1.0, min(1.0, b / rho)))
+    hi = math.acos(max(-1.0, min(1.0, a / rho)))
+
+    def integrand(phi):
+        cx = rho * math.cos(phi)
+        return d * rho * rho * math.sin(phi) ** 2 / (2.0 * math.pi * (d * d - cx * cx))
+
+    value, _ = scipy.integrate.quad(
+        integrand, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400
+    )
+    return value
+
+
+KESTEN_ORACLE_DEGREES = (3, 4, 5, 8, 20)
+
+
+@pytest.mark.parametrize("d", KESTEN_ORACLE_DEGREES)
+def test_kesten_top_mass_matches_quadrature(d):
+    ref = KestenRef(d)
+    for theta in [2.0**-k for k in range(15)] + [1.5, 2.0, 3.0]:
+        lo = (1.0 - min(theta, 2.0)) * ref.rho
+        assert ref.mass_top(theta) == pytest.approx(
+            quad_mass(d, lo, ref.rho), rel=1e-9
+        )
+
+
+@pytest.mark.parametrize("d", KESTEN_ORACLE_DEGREES)
+def test_kesten_mass_matches_quadrature_across_the_edges(d):
+    ref = KestenRef(d)
+    rho = ref.rho
+    intervals = [
+        (rho - 0.5, rho + 1.0),
+        (-rho - 1.0, -rho + 0.3),
+        (-rho - 1.0, rho + 1.0),
+        (-rho - 2.0, 0.0),
+        (0.0, rho + 2.0),
+        (-0.7, 1.1),
+    ]
+    for a, b in intervals:
+        assert ref.mass(a, b) == pytest.approx(quad_mass(d, a, b), rel=1e-9)
+    assert ref.mass(-rho - 1.0, rho + 1.0) == pytest.approx(1.0, rel=1e-12)
+    empty = [(0.5, 0.5), (1.0, -1.0), (rho, rho + 1.0), (-rho - 2.0, -rho)]
+    for a, b in empty:
+        assert ref.mass(a, b) == 0.0
 
 
 def test_kesten_mass_top_is_top_window():
