@@ -69,10 +69,12 @@ SHIFT_INVERT_GAP = 1e-3
 # Ball tops (``lambda1_balls``): power iteration on the distinct balls side
 # by side, at most this total order per block-diagonal matrix, each ball
 # stopped once its Collatz-Wielandt bounds agree to this relative width, or
-# solved densely after this many steps.
+# solved densely after this many steps. The bounds are tested on every
+# BALL_TEST_EVERY-th step only; the steps between are one sparse product each.
 BALL_CHUNK_ORDER = 5000
 BALL_CW_WIDTH = 1e-10
 BALL_POWER_BUDGET = 2000
+BALL_TEST_EVERY = 4
 
 
 class SolverCapError(GraphError):
@@ -452,19 +454,36 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
 
     ``a`` is symmetric, nonnegative and block diagonal with irreducible
     blocks starting at rows ``starts``. Power iteration on ``a + I`` from
-    the ones vector, normalized per block. For positive x, both the
-    Collatz-Wielandt minimum min(Ax/x) and the Rayleigh quotient
-    x'Ax / x'x are <= lambda1 <= max(Ax/x); a block's value is the larger
-    lower bound at the first step where the Collatz-Wielandt bounds agree to
-    ``BALL_CW_WIDTH`` relative. A block still open after
-    ``BALL_POWER_BUDGET`` steps is solved densely up to order
-    ``_DENSE_LAMBDA1_CAP`` and raises :class:`SolverBudgetError` above it.
+    the ones vector. For positive x, both the Collatz-Wielandt minimum
+    min(Ax/x) and the Rayleigh quotient x'Ax / x'x are <= lambda1 <=
+    max(Ax/x). These bounds are tested on every ``BALL_TEST_EVERY``-th step
+    (steps 0, 4, 8, ...), which also normalizes x per block; a block's
+    value is the larger lower bound at the first test where its
+    Collatz-Wielandt bounds agree to ``BALL_CW_WIDTH`` relative. Every
+    other step is one sparse product with S(a + I), where S scales each
+    block by a power of two at most 1 / (its largest row sum of a + I).
+    That scaling is exact, so x keeps its direction; it keeps x at most 1
+    for any positive weights, and a block's largest entry shrinks by at
+    most a factor 2m per step (m the block's order), so the steps between
+    tests cannot underflow it. Like every other operation here, it acts on
+    each block alone, so the values do not depend on which blocks share
+    ``a``. A block still open after ``BALL_POWER_BUDGET`` steps is solved
+    densely up to order ``_DENSE_LAMBDA1_CAP`` and raises
+    :class:`SolverBudgetError` above it.
     """
     sizes = np.diff(np.append(starts, a.shape[0]))
+    step_matrix = a + sp.identity(a.shape[0], format="csr")
+    # every row holds its diagonal entry, so reduceat reads no empty row
+    row_sums = np.add.reduceat(step_matrix.data, step_matrix.indptr[:-1])
+    scale = np.ldexp(1.0, -np.frexp(np.maximum.reduceat(row_sums, starts))[1])
+    step_matrix.data *= scale.repeat(sizes).repeat(np.diff(step_matrix.indptr))
     tops = np.empty(len(starts))
     todo = np.ones(len(starts), dtype=bool)
     x = np.ones(a.shape[0])
-    for _ in range(BALL_POWER_BUDGET):
+    for step in range(BALL_POWER_BUDGET):
+        if step % BALL_TEST_EVERY:
+            x = step_matrix @ x
+            continue
         y = a @ x
         q = y / x
         q_min = np.minimum.reduceat(q, starts)
@@ -496,7 +515,10 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     all of ``g`` gets ``lambda1(g)``. The other distinct balls are laid side
     by side in block-diagonal matrices of total order about
     ``BALL_CHUNK_ORDER`` and go through :func:`_power_tops` together, so
-    each value is a lower bound on the ball's lambda1 up to rounding.
+    each value is a lower bound on the ball's lambda1 up to rounding,
+    certified by a Collatz-Wielandt test on every ``BALL_TEST_EVERY``-th
+    power step. Each ball's arithmetic is its own, so the values do not
+    depend on ``BALL_CHUNK_ORDER``.
     """
     if r < 0:
         raise GraphError("radius must be nonnegative")
@@ -580,10 +602,14 @@ def mu(
 
 
 def trace_power(g: WeightedGraph, k: int) -> float:
-    """trace(A^k) for even k, by k sparse matvecs against every basis vector.
+    """trace(A^k) for even k, as ||A^{k/2}||_F^2 from k/2 - 1 sparse products.
 
-    The diagonal of A^k is accumulated with compensated summation in
-    ascending vertex order.  The eigenvalue route sum(lambda_i^k) is the
+    A is symmetric, so trace(A^k) = sum over u, v of (A^{k/2})_uv^2, and the
+    work and memory are those of the sparse A^{k/2}, never a dense n x n
+    array. Each vertex's column sum of squares is a plain sum; those sums
+    are added with compensated summation in ascending vertex order. On
+    unit weights every term is an integer, so the value is exact while
+    trace(A^k) < 2^53. The eigenvalue route sum(lambda_i^k) is the
     cross-check (the spectrum-moment oracle in ``tests/test_spectral.py``);
     the two agree to relative 1e-8 on the corpora this package verifies.
     """
@@ -591,15 +617,13 @@ def trace_power(g: WeightedGraph, k: int) -> float:
         raise GraphError("trace_power requires even k >= 0")
     if k > TRACE_POWER_MAX_K:
         raise GraphError(f"trace_power capped at k = {TRACE_POWER_MAX_K}")
-    if g.n == 0:
-        return 0.0
     if k == 0:
         return float(g.n)
-    a = g.csr
-    x = np.eye(g.n, dtype=np.float64)
-    for _ in range(k):
-        x = a @ x
-    return _kahan_sum(float(x[i, i]) for i in range(g.n))
+    half = g.csr
+    for _ in range(k // 2 - 1):
+        half = half @ g.csr
+    columns = np.bincount(half.indices, weights=half.data * half.data, minlength=g.n)
+    return _kahan_sum(columns.tolist())
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ from spectop import (
 )
 from spectop import spectral
 from spectop.cli import EN_ROUTE_THETA_CAP, _second_eig, graph_provider, main
-from spectop.rng import trial_seed
+from spectop.rng import rng_for, trial_seed
 from spectop.spectral import TOL_EIG
 
 from conftest import graphs, random_connected_graph
@@ -182,6 +183,41 @@ def test_trace_square_counts_weighted_edges():
     assert trace_power(g, 2) == pytest.approx(2 * (4.0 + 0.25), rel=1e-12)
 
 
+def diagonal_trace(g, k):
+    """The dense route to trace(A^k): the diagonal of A^k from k products
+    with the identity. Exact on unit weights while trace(A^k) < 2^53."""
+    x = np.eye(g.n)
+    for _ in range(k):
+        x = g.csr @ x
+    return math.fsum(np.diagonal(x).tolist())
+
+
+@given(g=graphs, k=st.sampled_from([0, 2, 4, 6, 8, 10, 12]))
+def test_trace_power_matches_the_diagonal_of_a_k(g, k):
+    # unit weights, n <= 16: every walk count is an exact integer here
+    assert trace_power(g, k) == diagonal_trace(g, k)
+
+
+def test_trace_power_matches_the_diagonal_on_the_corpus(corpus):
+    for _, g in corpus:
+        for r in (1, 2, 3, 4):
+            assert trace_power(g, 2 * r) == diagonal_trace(g, 2 * r)
+
+
+def test_trace_power_of_a_long_cycle_stays_sparse():
+    g = generate(FamilySpec("cycle", n=4096))
+    tracemalloc.start()
+    try:
+        value = trace_power(g, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # closed walks of length 8 from each vertex: C(8, 4)
+    assert value == 4096 * math.comb(8, 4)
+    # the dense route holds n x n arrays of 134 MB
+    assert peak < 16 * 2**20
+
+
 def test_local_global_equality_on_c4():
     g = generate(FamilySpec("cycle", n=4))
     rep = local_global_check(g, 1)
@@ -209,6 +245,31 @@ def test_lambda1_balls_matches_per_vertex_solves(seed, r):
     dense = dense_ball_tops(g, r)
     # a lower bound up to rounding, and as close as the dense solve
     assert np.all(tops <= dense * (1 + 1e-14))
+    assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
+
+
+@given(g=graphs, seed=st.integers(0, 10_000))
+def test_lambda1_balls_match_per_vertex_solves_at_every_radius(g, seed):
+    # empty, edgeless and disconnected graphs, weights in [0.5, 2]
+    weights = rng_for(seed).uniform(0.5, 2.0, g.m).tolist()
+    g = build_graph(g.n, [(u, v, w) for (u, v, _), w in zip(g.edges(), weights)])
+    for r in range(g.n + 2):
+        tops = lambda1_balls(g, r)
+        dense = dense_ball_tops(g, r)
+        assert np.all(tops <= dense * (1 + 1e-14))
+        assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1, 2])
+def test_lambda1_balls_with_huge_weights(r):
+    # row sums near 1e100: four unscaled power steps would overflow
+    n = 10
+    edges = [(i, (i + 1) % n, 1e100 * (1 + 0.1 * i)) for i in range(n)] + [(0, 5, 3e100)]
+    g = build_graph(n, edges)
+    tops = lambda1_balls(g, r)
+    dense = dense_ball_tops(g, r)
+    assert np.all(np.isfinite(tops))
     assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
 
 
