@@ -7,212 +7,30 @@ the eigenvalue drop their removal causes, local-to-global trace bounds,
 eigenvalue-count interlacing, a label-driven local net construction, and
 return-probability asymptotics on regular trees against the Kesten-McKay
 reference measure.
+
+The public names are each submodule's ``__all__``, re-exported here.
 """
 
-from .bounds import (
-    BoundParams,
-    BoundReport,
-    BoundTerms,
-    ExpanderSchedule,
-    HypothesisViolatedError,
-    InterlacingReport,
-    RSSelection,
-    expander_net_rem_params,
-    finite_param_check,
-    finite_param_rhs,
-    interlacing_check,
-    regular_exp_schedule,
-    select_r_s,
-    thm_checker,
-)
-from .families import (
-    FAMILIES,
-    FamilySpec,
-    InadmissibleFamilyError,
-    RetryBudgetError,
-    generate,
-    tree_ball_size,
-)
-from .graphs import (
-    AsymmetricWeightError,
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    GraphError,
-    GraphFormatError,
-    NonpositiveWeightError,
-    SelfLoopError,
-    VertexRangeError,
-    VertexSet,
-    WeightedGraph,
-    all_pairs_distances,
-    ball,
-    build_graph,
-    delete_vertices,
-    distances,
-    induced_subgraph,
-    is_connected,
-    is_r_net,
-    is_s_separated,
-    read_graph,
-    write_graph,
-)
-from .localsim import (
-    CellAssignment,
-    CellConnectivityError,
-    LocalLabels,
-    LocalNetRun,
-    MtpReport,
-    TheoryParams,
-    adjacency_transport,
-    cell_transport,
-    elect_captains,
-    local_net,
-    local_separated,
-    mtp_check,
-    theory_params,
-    voronoi_assign,
-)
-from .nets import (
-    DropReport,
-    NetResult,
-    NotANetError,
-    greedy_tree_net,
-    net_removal_drop_check,
-    random_expander_net,
-)
-from .spectral import (
-    InertiaCounts,
-    LocalGlobalReport,
-    SolverBudgetError,
-    SolverCapError,
-    SpectralInterval,
-    Spectrum,
-    eigenvalues,
-    interval_query_json,
-    lambda1,
-    lambda1_balls,
-    local_global_check,
-    m_count,
-    mu,
-    spectrum_to_csv,
-    trace_power,
-)
-from .walks import (
-    DecayFit,
-    KestenRef,
-    NonRegularGraphError,
-    ReturnSeries,
-    RoundtripReport,
-    adjacency_moments,
-    decay_fit,
-    kesten_mass,
-    moment_mass_upper,
-    return_decay_roundtrip,
-    return_probs_finite,
-    series_to_csv,
-    tree_return_probs,
-    tree_return_probs_exact,
-)
+from . import bounds, families, graphs, localsim, nets, rng, spectral, walks
+from .bounds import *
+from .families import *
+from .graphs import *
+from .localsim import *
+from .nets import *
+from .rng import *
+from .spectral import *
+from .walks import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # graphs
-    "WeightedGraph",
-    "VertexSet",
-    "build_graph",
-    "read_graph",
-    "write_graph",
-    "distances",
-    "all_pairs_distances",
-    "induced_subgraph",
-    "delete_vertices",
-    "ball",
-    "is_connected",
-    "is_r_net",
-    "is_s_separated",
-    "GraphError",
-    "SelfLoopError",
-    "DuplicateEdgeError",
-    "AsymmetricWeightError",
-    "NonpositiveWeightError",
-    "VertexRangeError",
-    "DisconnectedGraphError",
-    "GraphFormatError",
-    # families
-    "FAMILIES",
-    "FamilySpec",
-    "generate",
-    "tree_ball_size",
-    "InadmissibleFamilyError",
-    "RetryBudgetError",
-    # spectral
-    "Spectrum",
-    "InertiaCounts",
-    "SpectralInterval",
-    "eigenvalues",
-    "lambda1",
-    "lambda1_balls",
-    "m_count",
-    "mu",
-    "trace_power",
-    "local_global_check",
-    "LocalGlobalReport",
-    "spectrum_to_csv",
-    "interval_query_json",
-    "SolverCapError",
-    "SolverBudgetError",
-    # nets
-    "NetResult",
-    "greedy_tree_net",
-    "random_expander_net",
-    "net_removal_drop_check",
-    "DropReport",
-    "NotANetError",
-    # localsim
-    "LocalLabels",
-    "local_separated",
-    "elect_captains",
-    "voronoi_assign",
-    "CellAssignment",
-    "local_net",
-    "LocalNetRun",
-    "theory_params",
-    "TheoryParams",
-    "mtp_check",
-    "MtpReport",
-    "cell_transport",
-    "adjacency_transport",
-    "CellConnectivityError",
-    # bounds
-    "BoundParams",
-    "BoundTerms",
-    "BoundReport",
-    "finite_param_rhs",
-    "finite_param_check",
-    "select_r_s",
-    "RSSelection",
-    "thm_checker",
-    "interlacing_check",
-    "InterlacingReport",
-    "expander_net_rem_params",
-    "regular_exp_schedule",
-    "ExpanderSchedule",
-    "HypothesisViolatedError",
-    # walks
-    "ReturnSeries",
-    "return_probs_finite",
-    "adjacency_moments",
-    "tree_return_probs",
-    "tree_return_probs_exact",
-    "KestenRef",
-    "kesten_mass",
-    "moment_mass_upper",
-    "decay_fit",
-    "DecayFit",
-    "return_decay_roundtrip",
-    "RoundtripReport",
-    "series_to_csv",
-    "NonRegularGraphError",
+    *graphs.__all__,
+    *families.__all__,
+    *spectral.__all__,
+    *nets.__all__,
+    *localsim.__all__,
+    *bounds.__all__,
+    *walks.__all__,
+    *rng.__all__,
 ]

@@ -44,7 +44,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "FINITE_PARAM_TOL",
     "BoundParams",
     "BoundTerms",
     "BoundReport",
@@ -56,9 +55,6 @@ __all__ = [
     "thm_checker",
     "InterlacingReport",
     "interlacing_check",
-    "expander_net_rem_params",
-    "ExpanderSchedule",
-    "regular_exp_schedule",
 ]
 
 FINITE_PARAM_TOL = 1e-8
@@ -475,72 +471,3 @@ def interlacing_check(
         ok=halfline_dev <= size and interval_dev <= 2 * size,
     )
 
-
-# -- expander schedules --------------------------------------------------------
-
-
-def expander_net_rem_params(rho: float, r: int) -> float:
-    """Window width theta with mu[(1-theta) rho, rho] <= net density after
-    removing an r-net from a graph of spectral radius rho:
-    theta = 1 - (1 - rho^{-2r})^{1/(2r)}."""
-    if rho <= 1.0:
-        raise GraphError("expander_net_rem_params needs rho > 1")
-    if r < 1:
-        raise GraphError("r must be >= 1")
-    return 1.0 - (1.0 - rho ** (-2.0 * r)) ** (1.0 / (2.0 * r))
-
-
-@dataclass(frozen=True)
-class ExpanderSchedule:
-    """The (r, p) schedule for d-regular graphs of spectral radius rho."""
-
-    d: int
-    rho: float
-    theta: float
-    eps: float
-    r: int
-    p: float
-    c: float
-    net_density_bound: float
-    predicted_exponent: float
-    predicted_bound: float
-
-
-def regular_exp_schedule(
-    d: int, rho: float, theta: float, eps: float
-) -> ExpanderSchedule:
-    """Schedule realizing mu[(1-theta) rho, rho] <~ theta^{log d/log rho - 1 - eps}.
-
-    Takes r = ceil((1-eps) log(1/theta) / (2 log rho)) and Bernoulli rate
-    p = theta^{(1-2 eps)(log d/log rho - 1)}; the expansion constant is
-    1 + c = d^2 / rho^2.  Requires rho < d (at rho = d the exponent hits 0
-    and the statement is empty).
-    """
-    if d < 3:
-        raise GraphError("regular_exp_schedule needs d >= 3")
-    if rho <= 1.0:
-        raise GraphError("needs rho > 1")
-    if rho >= d:
-        raise GraphError("needs rho < d: at rho >= d the predicted exponent vanishes")
-    if not 0.0 < theta < 1.0:
-        raise GraphError("theta must lie in (0, 1)")
-    if not 0.0 < eps < 0.5:
-        raise GraphError("eps must lie in (0, 1/2)")
-    log_ratio = math.log(d) / math.log(rho) - 1.0
-    r = max(1, math.ceil((1.0 - eps) * math.log(1.0 / theta) / (2.0 * math.log(rho))))
-    p = theta ** ((1.0 - 2.0 * eps) * log_ratio)
-    c = d * d / (rho * rho) - 1.0
-    growth = (1.0 + c) ** r
-    miss = math.exp(growth * math.log1p(-p)) if p < 1.0 else 0.0
-    return ExpanderSchedule(
-        d=d,
-        rho=rho,
-        theta=theta,
-        eps=eps,
-        r=r,
-        p=p,
-        c=c,
-        net_density_bound=miss + p,
-        predicted_exponent=log_ratio - eps,
-        predicted_bound=theta ** (log_ratio - eps),
-    )

@@ -852,7 +852,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphError(f"{args.config} is not valid JSON: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     overrides = {}
@@ -1017,7 +1017,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HypothesisViolatedError as exc:
         print(f"error: hypothesis violated: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GraphError as exc:

@@ -453,12 +453,16 @@ def write_graph(g: WeightedGraph, path: str) -> None:
 def read_graph(path: str) -> WeightedGraph:
     """Read the text format written by :func:`write_graph`.
 
-    Blank lines and ``#`` comments are allowed.
+    The file is UTF-8; blank lines and ``#`` comments are allowed.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

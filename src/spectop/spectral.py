@@ -26,9 +26,6 @@ import scipy.sparse.linalg
 from .graphs import GraphError, WeightedGraph, _induced_arrays
 
 __all__ = [
-    "TOL_EIG",
-    "DEFAULT_SOLVER_CAP",
-    "TRACE_POWER_MAX_K",
     "SolverCapError",
     "SolverBudgetError",
     "Spectrum",

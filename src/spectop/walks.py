@@ -23,8 +23,6 @@ import numpy as np
 from .graphs import GraphError, WeightedGraph
 
 __all__ = [
-    "RETURN_K_CAP",
-    "TREE_N_CAP",
     "ReturnSeries",
     "NonRegularGraphError",
     "return_probs_finite",

@@ -1,4 +1,5 @@
-"""The public API: every exported name resolves, and importing it stays light."""
+"""The public API: one export list per module, every exported name resolves, and
+importing it stays light."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -16,6 +18,29 @@ MODULES = [spectop] + [
     importlib.import_module(f"spectop.{info.name}")
     for info in pkgutil.iter_modules(spectop.__path__)
 ]
+
+# the submodules the package re-exports, in the order of spectop.__all__
+EXPORTED = [
+    spectop.graphs, spectop.families, spectop.spectral, spectop.nets,
+    spectop.localsim, spectop.bounds, spectop.walks, spectop.rng,
+]
+
+
+def test_package_exports_exactly_the_submodule_lists():
+    names = [name for module in EXPORTED for name in module.__all__]
+    assert len(names) == len(set(names))  # no name in two modules
+    assert spectop.__all__ == ["__version__", *names]
+
+
+@pytest.mark.parametrize("module", EXPORTED, ids=lambda m: m.__name__)
+def test_exported_classes_and_functions_are_defined_in_their_module(module):
+    # a re-export in a submodule's list would put one name in two lists
+    objects = [getattr(module, name) for name in module.__all__]
+    foreign = [
+        obj.__qualname__ for obj in objects
+        if isinstance(obj, (type, types.FunctionType)) and obj.__module__ != module.__name__
+    ]
+    assert foreign == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -18,14 +18,12 @@ from spectop import (
     NotANetError,
     SpectralInterval,
     eigenvalues,
-    expander_net_rem_params,
     finite_param_check,
     finite_param_rhs,
     generate,
     greedy_tree_net,
     interlacing_check,
     mu,
-    regular_exp_schedule,
     select_r_s,
     thm_checker,
 )
@@ -35,9 +33,6 @@ from spectop.nets import NetResult
 from spectop.rng import rng_for
 
 from conftest import random_connected_graph
-
-# frozen: log 4 / log(2 sqrt 3) - 1, the predicted mass exponent at d=4
-EXPONENT_D4 = 0.11577178260451926
 
 
 def test_bound_params_validation():
@@ -243,51 +238,3 @@ def test_interlacing_rejects_unknown_mode(cycle12):
     with pytest.raises(GraphError):
         interlacing_check(cycle12, VertexSet.of([0], 12), mode="shuffle")
 
-
-def test_expander_net_rem_params_frozen():
-    # rho=2, r=1: 1 - sqrt(3)/2
-    assert expander_net_rem_params(2.0, 1) == pytest.approx(1 - math.sqrt(3) / 2, rel=1e-15)
-    with pytest.raises(GraphError):
-        expander_net_rem_params(1.0, 1)
-    with pytest.raises(GraphError):
-        expander_net_rem_params(2.0, 0)
-
-
-def test_expander_net_rem_params_decreasing_in_r():
-    values = [expander_net_rem_params(3.0, r) for r in (1, 2, 3, 4)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_regular_exp_schedule_d4_exponent():
-    rho = 2 * math.sqrt(3)
-    sched = regular_exp_schedule(4, rho, theta=0.01, eps=0.01)
-    assert sched.predicted_exponent == pytest.approx(EXPONENT_D4 - 0.01, rel=1e-12)
-    assert math.log(4) / math.log(rho) - 1 == pytest.approx(EXPONENT_D4, rel=1e-14)
-    assert sched.r >= 1
-    assert 0 < sched.p < 1
-    assert sched.c == pytest.approx(4.0 * 4.0 / (rho * rho) - 1.0, rel=1e-14)
-    assert sched.predicted_bound == pytest.approx(0.01 ** sched.predicted_exponent, rel=1e-12)
-
-
-def test_regular_exp_schedule_exponent_degenerates_at_rho_d():
-    sched = regular_exp_schedule(4, 3.999999, theta=0.1, eps=0.05)
-    assert sched.predicted_exponent == pytest.approx(-0.05, abs=1e-5)
-    with pytest.raises(GraphError):
-        regular_exp_schedule(4, 4.0, theta=0.1, eps=0.05)
-
-
-def test_regular_exp_schedule_input_validation():
-    rho = 2 * math.sqrt(2)
-    with pytest.raises(GraphError):
-        regular_exp_schedule(2, rho, 0.1, 0.1)
-    with pytest.raises(GraphError):
-        regular_exp_schedule(3, rho, 0.0, 0.1)
-    with pytest.raises(GraphError):
-        regular_exp_schedule(3, rho, 0.1, 0.5)
-
-
-def test_net_density_bound_shrinks_with_theta():
-    rho = 2 * math.sqrt(3)
-    loose = regular_exp_schedule(4, rho, theta=0.2, eps=0.05)
-    tight = regular_exp_schedule(4, rho, theta=0.002, eps=0.05)
-    assert tight.net_density_bound < loose.net_density_bound

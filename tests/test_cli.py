@@ -13,6 +13,16 @@ def run(argv):
     return main(argv)
 
 
+def place(path, content):
+    """Write ``content`` (str or bytes) at ``path``; None makes a directory there."""
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -36,10 +46,21 @@ def test_missing_required_flag_exits_2(tmp_path, monkeypatch):
     assert run(["gen", "--family", "cycle", "--out", "g.graph"]) == 2
 
 
-def test_missing_graph_file_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        (None, None, ["spectrum", "--graph", "absent.graph", "--out", "s.csv"]),
+        ("d", None, ["spectrum", "--graph", "d", "--out", "s.csv"]),
+        ("g.txt", b"# \xff\n2 1\n0 1 1.0\n", ["spectrum", "--graph", "g.txt", "--out", "s.csv"]),
+        ("d", None, ["gen", "--family", "cycle", "--n", "12", "--out", "d"]),
+    ],
+    ids=["absent", "graph-is-a-directory", "graph-not-utf8", "gen-out-is-a-directory"],
+)
+def test_missing_graph_file_exits_2(tmp_path, monkeypatch, capsys, name, content, argv):
     monkeypatch.chdir(tmp_path)
-    rc = run(["spectrum", "--graph", "absent.graph", "--out", "s.csv"])
-    assert rc == 2
+    if name is not None:
+        place(tmp_path / name, content)
+    assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -91,7 +112,7 @@ def test_config_hash_sensitive_to_values():
 # spectrum / walks output formats
 
 
-def test_spectrum_csv_and_interval_query(tmp_path, monkeypatch):
+def test_spectrum_csv_and_interval_query(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rc = run(
         ["spectrum", "--family", "cycle", "--n", "12", "--interval=-2:2",
@@ -105,6 +126,10 @@ def test_spectrum_csv_and_interval_query(tmp_path, monkeypatch):
     q = json.loads((tmp_path / "q.json").read_text())
     assert set(q) == {"a", "b", "closed_a", "closed_b", "count", "mu"}
     assert q["count"] == 12 and q["mu"] == 1.0
+    # without --query-out the query goes to stdout
+    rc = run(["spectrum", "--family", "cycle", "--n", "12", "--interval=-2:2", "--out", "s.csv"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == q
 
 
 def test_walks_tree_csv(tmp_path, monkeypatch):
@@ -253,13 +278,15 @@ def test_sweep_tolerance_cannot_loosen(tmp_path, monkeypatch, capsys, tolerances
                     "grid": {"n": [32], "finite_param": False}}),
         json.dumps({"suite": "rad-drop", "families": [{"family": "cycle", "n": 20}],
                     "grid": [1]}),
+        None,
+        b'{"suite": "rad-drop", "seed": 5, "out_dir": "\xff"}',
     ],
     ids=["invalid-json", "family-missing", "unknown-grid-key", "finite-param-knob",
-         "grid-not-object"],
+         "grid-not-object", "config-is-a-directory", "not-utf8"],
 )
 def test_sweep_malformed_config_exits_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text(text)
+    place(tmp_path / "cfg.json", text)
     assert run(["sweep", "--config", "cfg.json"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "sweep-out").exists()

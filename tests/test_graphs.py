@@ -311,7 +311,7 @@ def test_read_graph_rejects_malformed(tmp_path):
 
 def test_read_graph_skips_comments(tmp_path):
     path = tmp_path / "ok.graph"
-    path.write_text("# a comment\n2 1\n0 1 1.5\n")
+    path.write_text("# a comment, café\n2 1\n0 1 1.5\n", encoding="utf-8")
     g = read_graph(str(path))
     assert g.n == 2 and g.m == 1 and g.w_max == 1.5
 
