@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,8 +87,8 @@ class BoundParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta < 1.0:
             raise GraphError("theta must lie in [0, 1)")
-        if self.x < self.w_min:
-            raise GraphError("x must be at least w_min")
+        if not self.w_min <= self.x < math.inf:
+            raise GraphError("x must be finite and at least w_min")
         if self.r < 1 or self.s < 1:
             raise GraphError("r and s must be positive integers")
         if not 0.0 <= self.delta_top <= 1.0 or not 0.0 <= self.eps_net <= 1.0:
@@ -163,21 +163,7 @@ class BoundReport:
     implied_constant: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "ok": self.ok,
-                "terms": self.terms,
-                "params": self.params,
-                "hypotheses": self.hypotheses,
-                "rate": self.rate,
-                "implied_constant": self.implied_constant,
-            },
-            sort_keys=True,
-            allow_nan=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def finite_param_check(
@@ -264,7 +250,7 @@ def select_r_s(theta: float, delta_tilde: float) -> RSSelection:
     resulting r is at least 1; otherwise ``ok`` is False and ``reason`` says
     which constraint failed.
     """
-    if theta <= 0:
+    if not theta > 0:
         return RSSelection(0, 0, False, "theta must be positive")
     if delta_tilde <= 1:
         return RSSelection(0, 0, False, "delta_tilde must exceed 1")
@@ -327,8 +313,8 @@ def thm_checker(
         rate_kind = variant
     else:
         raise GraphError(f"unknown theorem variant {variant!r}")
-    if theta <= 0:
-        raise GraphError("theta must be positive")
+    if not (0 < theta < math.inf and math.isfinite(x)):
+        raise GraphError("x and theta must be finite, and theta positive")
 
     delta_top = float(mu(spectrum, SpectralInterval.above(x)))
     tail_cap = math.pow(dt, -10.0 / theta)
@@ -339,8 +325,8 @@ def thm_checker(
         log_ratio = math.log(1.0 / theta) / log_dt
         rate = math.inf if log_ratio == 0.0 else 1.0 / log_ratio
     else:
-        if c is None or c <= 0:
-            raise GraphError("expander variant needs an assumed expansion c > 0")
+        if c is None or not 0 < c < math.inf:
+            raise GraphError("expander variant needs a finite assumed expansion c > 0")
         size_floor = 2.0 * theta ** (-c / (10.0 * log_dt))
         hypotheses["graph_size"] = g.n >= size_floor * (1.0 - HYPOTHESIS_REL_TOL)
         rate = theta ** (c / (40.0 * log_dt))

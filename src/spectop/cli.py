@@ -48,6 +48,7 @@ import scipy
 from . import __version__
 from .bounds import (
     HypothesisViolatedError,
+    InterlacingReport,
     finite_param_check,
     interlacing_check,
     select_r_s,
@@ -62,11 +63,12 @@ from .graphs import (
     write_graph,
 )
 from .localsim import LocalLabels, local_net, theory_params
-from .nets import greedy_tree_net, net_removal_drop_check, random_expander_net
+from .nets import DropReport, greedy_tree_net, net_removal_drop_check, random_expander_net
 from .rng import rng_for, trial_seed
 from .spectral import (
     DEFAULT_SOLVER_CAP,
     InertiaCounts,
+    LocalGlobalReport,
     SpectralInterval,
     eigenvalues,
     interval_query_json,
@@ -391,39 +393,29 @@ def cmd_local_net(args: argparse.Namespace) -> int:
 # check suites: one table drives `verify` and `sweep`
 
 
-def _rad_drop(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+def _rad_drop(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
     methods = ["greedy-tree", "expander-random"] if p.method == "both" else [p.method]
     rows = []
     for method in methods:
         net = _build_net(g, method, p.r, p.p, seed)
         rep = net_removal_drop_check(g, net, p.r)
-        cells = [seed, g.n, method, rep.r, rep.net_size, rep.lam1_g, rep.lam1_h,
-                 rep.lhs, rep.rhs, rep.ok]
-        rows.append((cells, rep.ok))
+        rows.append({"seed": seed, "n": g.n, "method": method, **asdict(rep)})
     return rows
 
 
-def _local_global(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+def _local_global(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
     radii = range(1, p.r_max + 1) if p.r is None else [p.r]
-    rows = []
-    for r in radii:
-        rep = local_global_check(g, r)
-        rows.append(([seed, g.n, rep.r, rep.lhs, rep.rhs, rep.slack, rep.ok], rep.ok))
-    return rows
+    return [{"seed": seed, "n": g.n, **asdict(local_global_check(g, r))} for r in radii]
 
 
-def _interlace(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+def _interlace(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
+    if p.u_size < 0:
+        raise GraphError(f"--u-size must be >= 0, got {p.u_size}")
     size = min(p.u_size, g.n - 1)
     picks = rng_for(seed).choice(g.n, size=size, replace=False)
     u = VertexSet.of(picks.tolist(), g.n)
     modes = ["delete", "zero-rows-cols"] if p.mode == "both" else [p.mode]
-    rows = []
-    for mode in modes:
-        rep = interlacing_check(g, u, mode)
-        cells = [seed, g.n, rep.mode, rep.u_size, rep.halfline_dev, rep.halfline_bound,
-                 rep.interval_dev, rep.interval_bound, rep.grid_size, rep.ok]
-        rows.append((cells, rep.ok))
-    return rows
+    return [{"seed": seed, "n": g.n, **asdict(interlacing_check(g, u, m))} for m in modes]
 
 
 def _pick_x(rule: str, x_flag: float | None, counts: InertiaCounts, w_min: float) -> float:
@@ -440,7 +432,7 @@ def _pick_x(rule: str, x_flag: float | None, counts: InertiaCounts, w_min: float
     raise GraphError(f"unknown x rule {rule!r}")
 
 
-def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
     counts = InertiaCounts(g, cap=p.cap)
     x = _pick_x(p.x_rule, p.x, counts, g.w_min)
     if p.auto_rs:
@@ -454,9 +446,10 @@ def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
         r, s = p.r, p.s
     net = _build_net(g, p.method, r, p.p, seed)
     rep = finite_param_check(g, x, p.theta, r, s, net, spectrum=counts)
-    cells = [seed, g.n, x, p.theta, r, s, len(net.vertices), rep.lhs, rep.rhs,
-             rep.terms["moment"], rep.terms["tail"], rep.terms["net"], rep.ok]
-    return [(cells, rep.ok)]
+    terms = {"term_" + k: v for k, v in rep.terms.items()}
+    return [{"seed": seed, "n": g.n, "x": x, "theta": p.theta, "r": r, "s": s,
+             "net_size": len(net.vertices), "lhs": rep.lhs, "rhs": rep.rhs, **terms,
+             "ok": rep.ok}]
 
 
 # The second-eig preset theta = 10 / log_{delta_tilde} n exceeds 1 on small or
@@ -485,14 +478,15 @@ def en_route_finite_param(
     return theta_fp, r, s, rep
 
 
-def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list:
+def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
     counts = InertiaCounts(g, cap=p.cap)
     rep = thm_checker(g, "second-eig", spectrum=counts)
     x, theta = rep.params["x"], rep.params["theta"]
     theta_fp, r, s, fp = en_route_finite_param(g, counts, x, theta)
-    cells = [g.n, seed, g.delta_tilde, x, theta, rep.lhs, rep.rhs, rep.rate,
-             rep.implied_constant, rep.ok, theta_fp, r, s, fp.lhs, fp.rhs, fp.ok]
-    return [(cells, rep.ok and fp.ok)]
+    return [{"n": g.n, "seed": seed, "delta_tilde": g.delta_tilde, "x": x, "theta": theta,
+             "lhs": rep.lhs, "rhs": rep.rhs, "rate": rep.rate,
+             "implied_constant": rep.implied_constant, "ok": rep.ok, "fp_theta": theta_fp,
+             "fp_r": r, "fp_s": s, "fp_lhs": fp.lhs, "fp_rhs": fp.rhs, "fp_ok": fp.ok}]
 
 
 @dataclass(frozen=True)
@@ -501,16 +495,17 @@ class Suite:
 
     ``params`` maps each parameter to the argparse keywords of its verify
     flag (``r_max`` is ``--r-max``); the names are also the sweep grid keys.
-    ``trial(g, seed, p)`` runs one trial on one graph and returns one
-    ``(cells, ok)`` per row, the cells matching ``header``. A suite with
-    ``trials`` gets a leading ``trial`` column; a sweep puts ``family`` in
-    front of everything. A suite with ``lhs`` and ``rhs`` columns accepts a
-    tolerance, which can only tighten its verdict.
+    ``trial(g, seed, p)`` runs one trial on one graph and returns one dict
+    per row, mapping each name in ``header`` to its cell. A row fails when
+    its ``ok`` or any ``*_ok`` cell is false. A suite with ``trials`` gets a
+    leading ``trial`` column; a sweep puts ``family`` in front of
+    everything. A suite with ``lhs`` and ``rhs`` columns accepts a
+    tolerance, which can only tighten its ``ok``.
     """
 
     params: dict[str, dict]
     header: tuple[str, ...]
-    trial: Callable[[WeightedGraph, int, argparse.Namespace], list[tuple[list, bool]]]
+    trial: Callable[[WeightedGraph, int, argparse.Namespace], list[dict]]
 
 
 TRIALS = {"type": int, "default": 1}
@@ -525,7 +520,7 @@ SUITES: dict[str, Suite] = {
             "p": {"type": float},
             "trials": TRIALS,
         },
-        header=("seed", "n", "method", "r", "net_size", "lam1_g", "lam1_h", "lhs", "rhs", "ok"),
+        header=("seed", "n", "method", *DropReport.__dataclass_fields__),
         trial=_rad_drop,
     ),
     "local-global": Suite(
@@ -534,7 +529,7 @@ SUITES: dict[str, Suite] = {
             "r_max": {"type": int, "default": 3, "help": "radii 1..r_max when --r is absent"},
             "trials": TRIALS,
         },
-        header=("seed", "n", "r", "lhs", "rhs", "slack", "ok"),
+        header=("seed", "n", *LocalGlobalReport.__dataclass_fields__),
         trial=_local_global,
     ),
     "interlace": Suite(
@@ -543,8 +538,7 @@ SUITES: dict[str, Suite] = {
             "mode": {"choices": ["delete", "zero-rows-cols", "both"], "default": "both"},
             "trials": TRIALS,
         },
-        header=("seed", "n", "mode", "u_size", "halfline_dev", "halfline_bound",
-                "interval_dev", "interval_bound", "grid_size", "ok"),
+        header=("seed", "n", *InterlacingReport.__dataclass_fields__),
         trial=_interlace,
     ),
     "finite-param": Suite(
@@ -591,6 +585,7 @@ def suite_rows(
     parameters in ``p``. A case drops its provider from ``cases`` once it
     ran, so that a graph shared by several trials is freed after the last
     of them. A tolerance makes a row's verdict ``ok and lhs <= rhs + tol``.
+    A run that makes no row checked nothing, and raises.
     """
     suite = SUITES[name]
     keys = list(vars(p))
@@ -603,27 +598,28 @@ def suite_rows(
     with_trial = "trials" in keys
     header = (["family"] if family_column else []) + (["trial"] if with_trial else [])
     header += suite.header
-    if tol is not None:
-        i_lhs, i_rhs, i_ok = (suite.header.index(c) for c in ("lhs", "rhs", "ok"))
+    verdicts = [c for c in header if c == "ok" or c.endswith("_ok")]
 
     def one(i: int) -> list:
         fam, t, seed, graph = cases[i]
         cases[i] = (fam, t, seed, None)
         g = graph(seed)
-        return [(q, cells, ok) for q in combos for cells, ok in suite.trial(g, seed, q)]
+        return [(q, row) for q in combos for row in suite.trial(g, seed, q)]
 
     rows: list[list] = []
     violations: list[dict] = []
     for (fam, t, seed, _), group in zip(cases, run_trials(one, len(cases), workers)):
-        for q, cells, ok in group:
-            if tol is not None and not cells[i_lhs] <= cells[i_rhs] + tol:
-                cells[i_ok] = ok = False
-            row = ([fam["family"]] if family_column else []) + ([t] if with_trial else [])
-            row += cells
-            rows.append(row)
-            if not ok:
-                fields = dict(zip(header, (fmt(c) for c in row)))
+        for q, row in group:
+            row.update(family=fam.get("family"), trial=t)
+            if tol is not None:
+                row["ok"] = row["ok"] and row["lhs"] <= row["rhs"] + tol
+            cells = [row[c] for c in header]
+            rows.append(cells)
+            if not all(row[c] for c in verdicts):
+                fields = dict(zip(header, (fmt(c) for c in cells)))
                 violations.append(violation(name, fam, t, seed, vars(q), fields))
+    if not rows:
+        raise GraphError(f"{name}: no check ran; the trials, radii, grid or families are empty")
     return header, rows, violations
 
 
@@ -677,17 +673,7 @@ def cmd_walks_finite(args: argparse.Namespace) -> int:
 def cmd_walks_fit(args: argparse.Namespace) -> int:
     series = tree_return_probs(args.d, args.N)
     fit = decay_fit(series, args.window)
-    record = {
-        "d": args.d,
-        "N": args.N,
-        "window": list(fit.window),
-        "rho_hat": fit.rho_hat,
-        "rho_true": 2.0 * (args.d - 1) ** 0.5,
-        "alpha_hat": fit.alpha_hat,
-        "const_hat": fit.const_hat,
-        "max_residual": fit.max_residual,
-        "note": fit.note,
-    }
+    record = {"d": args.d, "N": args.N, "rho_true": 2.0 * (args.d - 1) ** 0.5, **asdict(fit)}
     emit(json.dumps(record, sort_keys=True), args.out, invocation_config(args), None)
     return 0
 
@@ -696,12 +682,9 @@ def cmd_walks_roundtrip(args: argparse.Namespace) -> int:
     rep = return_decay_roundtrip(
         args.d, theta_grid=args.theta_grid, N=args.N, window=args.window
     )
-    record = asdict(rep)
-    record["theta_grid"] = list(rep.theta_grid)
-    record["window"] = list(rep.window)
-    params = {"N": args.N, "window": list(args.window)}
+    params = {"N": args.N, "window": args.window}
     return emit_record(
-        args, "walks-roundtrip", json.dumps(record, sort_keys=True), rep.ok,
+        args, "walks-roundtrip", json.dumps(asdict(rep), sort_keys=True), rep.ok,
         {"tree-degree": args.d}, None, params,
     )
 

@@ -392,6 +392,8 @@ def return_decay_roundtrip(
     tree return probabilities.  Agreement within ``ROUNDTRIP_TOL`` is the
     round-trip consistency check.
     """
+    if len(set(theta_grid)) < 2 or not all(0 < t < 1 for t in theta_grid):
+        raise GraphError(f"the theta grid needs two or more values in (0, 1), got {theta_grid}")
     ref = KestenRef(d)
     masses = [ref.mass_top(t) for t in theta_grid]
     lt = np.log(theta_grid)

@@ -43,6 +43,9 @@ def test_bound_params_validation():
         ("theta", 1.0),
         ("theta", -0.1),
         ("x", 0.5),  # below w_min
+        ("x", math.nan),  # an empty window would read as a pass
+        ("x", math.inf),
+        ("theta", math.nan),
         ("r", 0),
         ("s", 0),
         ("delta_top", 1.5),
@@ -140,6 +143,7 @@ def test_select_r_s_exact_reciprocal():
 
 def test_select_r_s_rejections():
     assert not select_r_s(0.0, 2.0).ok
+    assert select_r_s(math.nan, 2.0).reason == "theta must be positive"
     assert not select_r_s(0.6, 2.0).ok  # theta > 1/delta_tilde
     too_small = select_r_s(0.2, 3.0)  # s=5 gives r=0
     assert not too_small.ok
@@ -178,6 +182,13 @@ def test_thm_main_requires_x_and_theta(cycle12):
         thm_checker(cycle12, "main")
 
 
+@pytest.mark.parametrize("x, theta", [(math.nan, 0.5), (math.inf, 0.5), (2.5, math.nan),
+                                      (2.5, math.inf), (2.5, 0.0)])
+def test_thm_main_needs_finite_x_and_theta(cycle12, x, theta):
+    with pytest.raises(GraphError, match="finite"):
+        thm_checker(cycle12, "main", x=x, theta=theta)
+
+
 def test_thm_main_violated_tail_mass_raises(cycle12):
     # x = 0 leaves far too much mass above, naming the failed hypothesis
     with pytest.raises(HypothesisViolatedError, match="tail_mass"):
@@ -204,8 +215,9 @@ def test_thm_expander_variant():
 
 
 def test_thm_expander_needs_positive_c(cycle12):
-    with pytest.raises(GraphError):
-        thm_checker(cycle12, "expander", x=2.5, theta=0.3)
+    for c in (None, 0.0, math.nan, math.inf):
+        with pytest.raises(GraphError, match="expansion"):
+            thm_checker(cycle12, "expander", x=2.5, theta=0.3, c=c)
 
 
 @given(seed=st.integers(0, 4_000), mode=st.sampled_from(["delete", "zero-rows-cols"]))

@@ -74,6 +74,35 @@ def test_impractical_theory_params_exit_2(tmp_path, monkeypatch, capsys):
     assert "too large to run" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "interlace", "--family", "cycle", "--n", "20", "--u-size", "-1"],
+        ["walks", "roundtrip", "--d", "3", "--N", "100", "--window", "10:50",
+         "--theta-grid", "0,0.5"],
+        ["verify", "thm", "--variant", "main", "--family", "cycle", "--n", "64",
+         "--x", "nan", "--theta", "0.5"],
+        ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "0.4",
+         "--r", "1", "--s", "3", "--x-rule", "value", "--x", "nan"],
+        ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "0.4",
+         "--r", "1", "--s", "3", "--x-rule", "value", "--x", "inf"],
+        ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "nan",
+         "--auto-rs"],
+        ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "0"],
+        ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "-1"],
+        ["verify", "local-global", "--family", "cycle", "--n", "20", "--r-max", "0"],
+    ],
+    ids=["negative-u-size", "theta-grid-0", "thm-x-nan", "fp-x-nan", "fp-x-inf",
+         "fp-theta-nan-auto-rs", "zero-trials", "negative-trials", "zero-radii"],
+)
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    # exit 1 is kept for a violated inequality; no row is no verdict
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "out"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -241,6 +270,38 @@ def test_sweep_tolerance_violation_exits_1(tmp_path, monkeypatch, capsys):
     assert records[0]["row"]["ok"] == "false"
 
 
+def test_sweep_finite_param_tolerance_fails_every_row(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid = {"theta": 0.3, "r": 1, "s": [2, 3], "trials": 2}
+    cfg = sweep_config(tmp_path, suite="finite-param", grid=grid,
+                       tolerances={"finite-param": -1000.0})
+    assert run(["sweep", "--config", cfg]) == 1
+    lines = (tmp_path / "sweep-out" / "finite-param.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2
+    assert all(line.endswith(",false") for line in lines[1:])
+    records = json.loads((tmp_path / "sweep-out" / "finite-param.csv.violations.json")
+                         .read_text())
+    assert len(records) == 4
+
+
+def test_sweep_second_eig_tolerance_tightens_the_theorem_not_the_en_route_check(
+    tmp_path, monkeypatch
+):
+    # the preset's rate (rhs) is negative at n = 32 and 64, so no mass passes at
+    # tolerance 0, while the en-route window check (fp_lhs against fp_rhs) holds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({**SECOND_EIG_CFG, "tolerances": {"second-eig": 0}})
+    )
+    assert run(["sweep", "--config", "cfg.json"]) == 1
+    records = json.loads((tmp_path / "sweep-out" / "second-eig.csv.violations.json")
+                         .read_text())
+    assert len(records) == 4
+    for rec in records:
+        assert rec["row"]["ok"] == "false" and rec["row"]["fp_ok"] == "true"
+        assert float(rec["row"]["rhs"]) < 0 <= float(rec["row"]["lhs"])
+
+
 def test_sweep_rejects_unknown_keys(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(GraphError, match="unknown config keys"):
@@ -280,9 +341,15 @@ def test_sweep_tolerance_cannot_loosen(tmp_path, monkeypatch, capsys, tolerances
                     "grid": [1]}),
         None,
         b'{"suite": "rad-drop", "seed": 5, "out_dir": "\xff"}',
+        json.dumps({"suite": "rad-drop", "families": [], "grid": {"r": [1]}}),
+        json.dumps({"suite": "rad-drop", "families": [{"family": "cycle", "n": 20}],
+                    "grid": {"trials": 0}}),
+        json.dumps({"suite": "rad-drop", "families": [{"family": "cycle", "n": 20}],
+                    "grid": {"r": []}}),
     ],
     ids=["invalid-json", "family-missing", "unknown-grid-key", "finite-param-knob",
-         "grid-not-object", "config-is-a-directory", "not-utf8"],
+         "grid-not-object", "config-is-a-directory", "not-utf8", "no-families",
+         "zero-trials", "empty-grid-list"],
 )
 def test_sweep_malformed_config_exits_2(tmp_path, monkeypatch, capsys, text):
     monkeypatch.chdir(tmp_path)

@@ -335,6 +335,14 @@ def test_roundtrip_frozen():
     assert rt4.theta_grid[-1] == 2.0**-14
 
 
+@pytest.mark.parametrize("grid", [(0.0, 0.5), (0.5, 1.0), (0.25, 2.0), (0.5, math.nan),
+                                  (0.5,), (0.5, 0.5), ()])
+def test_roundtrip_rejects_theta_grid(grid):
+    # log(mass_top(0)) = log 0 would reach the slope fit; one value leaves no slope
+    with pytest.raises(GraphError, match="theta grid"):
+        return_decay_roundtrip(3, theta_grid=grid, N=100, window=(10, 50))
+
+
 # ---------------------------------------------------------------------------
 # CSV serialization
 
