@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .graphs import (
     GraphError,
     VertexSet,
     WeightedGraph,
-    build_graph,
+    _intra_class,
     delete_vertices,
     is_connected,
     is_r_net,
@@ -105,8 +105,8 @@ class BoundParams:
 class BoundTerms:
     """Right-hand side of the window bound, term by term.
 
-    ``total`` is the unclamped sum; ``clamped`` trims each term at 1 for
-    readable reports (any single term above 1 makes the bound vacuous).
+    ``total`` is the unclamped sum (any single term above 1 makes the bound
+    vacuous).
     """
 
     moment: float
@@ -116,10 +116,6 @@ class BoundTerms:
     @property
     def total(self) -> float:
         return self.moment + self.tail + self.net
-
-    @property
-    def clamped(self) -> tuple[float, float, float]:
-        return (min(self.moment, 1.0), min(self.tail, 1.0), min(self.net, 1.0))
 
     def as_dict(self) -> dict[str, float]:
         return {"moment": self.moment, "tail": self.tail, "net": self.net}
@@ -188,21 +184,22 @@ def finite_param_check(
         raise GraphError(f"net radius {net.r} does not match r={r}")
     if not net.verified or not is_r_net(g, net.vertices, r):
         raise NotANetError("finite_param_check needs a verified r-net")
-    if spectrum is None:
-        spectrum = InertiaCounts(g)
-    delta_top = float(mu(spectrum, SpectralInterval.above(x)))
+    # x and theta are checked before the first count, which x = inf would break
     params = BoundParams(
         theta=theta,
         x=x,
         r=r,
         s=s,
-        delta_top=delta_top,
+        delta_top=0.0,
         eps_net=net.density,
         delta=g.delta,
         w_min=g.w_min,
         w_max=g.w_max,
     )
-    terms = finite_param_rhs(params)
+    if spectrum is None:
+        spectrum = InertiaCounts(g)
+    delta_top = float(mu(spectrum, SpectralInterval.above(x)))
+    terms = finite_param_rhs(replace(params, delta_top=delta_top))
     lhs = float(mu(spectrum, SpectralInterval.top_window(x, theta)))
     rhs = terms.total
     ok = lhs <= rhs + FINITE_PARAM_TOL
@@ -378,16 +375,6 @@ class InterlacingReport:
     ok: bool
 
 
-def _zero_rows_cols(g: WeightedGraph, u: VertexSet) -> WeightedGraph:
-    inside = set(u.ids)
-    edges = [
-        (a, b, w)
-        for a, b, w in g.edges()
-        if a not in inside and b not in inside
-    ]
-    return build_graph(g.n, edges)
-
-
 def interlacing_check(
     g: WeightedGraph,
     u: VertexSet,
@@ -406,7 +393,9 @@ def interlacing_check(
     if mode == "delete":
         h, _ = delete_vertices(g, u.ids)
     elif mode == "zero-rows-cols":
-        h = _zero_rows_cols(g, u)
+        # every edge that touches U goes
+        arrays = _intra_class(g, np.where(u.mask(), -1, 0))
+        h = WeightedGraph(g.n, *arrays, g.w_min, g.w_max, g.delta)
     else:
         raise GraphError(f"unknown interlacing mode {mode!r}")
     spec_h = eigenvalues(h, compute_residual=False)

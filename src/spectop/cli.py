@@ -433,8 +433,6 @@ def _pick_x(rule: str, x_flag: float | None, counts: InertiaCounts, w_min: float
 
 
 def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
-    counts = InertiaCounts(g, cap=p.cap)
-    x = _pick_x(p.x_rule, p.x, counts, g.w_min)
     if p.auto_rs:
         sel = select_r_s(p.theta, g.delta_tilde)
         if not sel.ok:
@@ -444,6 +442,8 @@ def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[di
         if p.r is None or p.s is None:
             raise GraphError("finite-param needs --r and --s (or --auto-rs)")
         r, s = p.r, p.s
+    counts = InertiaCounts(g)
+    x = _pick_x(p.x_rule, p.x, counts, g.w_min)
     net = _build_net(g, p.method, r, p.p, seed)
     rep = finite_param_check(g, x, p.theta, r, s, net, spectrum=counts)
     terms = {"term_" + k: v for k, v in rep.terms.items()}
@@ -479,7 +479,7 @@ def en_route_finite_param(
 
 
 def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
-    counts = InertiaCounts(g, cap=p.cap)
+    counts = InertiaCounts(g)
     rep = thm_checker(g, "second-eig", spectrum=counts)
     x, theta = rep.params["x"], rep.params["theta"]
     theta_fp, r, s, fp = en_route_finite_param(g, counts, x, theta)
@@ -509,7 +509,6 @@ class Suite:
 
 
 TRIALS = {"type": int, "default": 1}
-CAP = {"type": int, "default": DEFAULT_SOLVER_CAP}
 NET_METHODS = ["greedy-tree", "expander-random"]
 
 SUITES: dict[str, Suite] = {
@@ -551,7 +550,6 @@ SUITES: dict[str, Suite] = {
             "auto_rs": {"action": "store_true", "help": "pick (r, s) from the schedule"},
             "method": {"choices": NET_METHODS, "default": "greedy-tree"},
             "p": {"type": float},
-            "cap": CAP,
             "trials": TRIALS,
         },
         header=("seed", "n", "x", "theta", "r", "s", "net_size", "lhs", "rhs",
@@ -561,7 +559,7 @@ SUITES: dict[str, Suite] = {
     # The x = lambda2 preset over a grid of n, with the window bound checked
     # en route; `verify thm --variant second-eig` checks a single instance.
     "second-eig": Suite(
-        params={"cap": CAP},
+        params={},
         header=("n", "seed", "delta_tilde", "x", "theta", "lhs", "rhs", "rate",
                 "implied_constant", "ok", "fp_theta", "fp_r", "fp_s", "fp_lhs",
                 "fp_rhs", "fp_ok"),
@@ -637,8 +635,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_verify_thm(args: argparse.Namespace) -> int:
     fam = family_of(args)
     g = graph_provider(fam)(args.seed)
-    counts = InertiaCounts(g, cap=args.cap)
-    rep = thm_checker(g, args.variant, x=args.x, theta=args.theta, c=args.c, spectrum=counts)
+    rep = thm_checker(g, args.variant, x=args.x, theta=args.theta, c=args.c)
     print(
         f"variant={args.variant} lhs={fmt(rep.lhs)} rhs={fmt(rep.rhs)} "
         f"rate={fmt(rep.rate)} implied_constant={fmt(rep.implied_constant)} ok={fmt(rep.ok)}",
@@ -934,7 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float)
     sp.add_argument("--c", type=float, help="assumed expansion constant (expander variant), "
                     "taken on trust: no check certifies or falsifies it")
-    sp.add_argument("--cap", type=int, default=DEFAULT_SOLVER_CAP)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify_thm)

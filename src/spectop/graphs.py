@@ -118,10 +118,6 @@ class VertexSet:
             m[list(self.ids)] = True
         return m
 
-    def complement(self) -> "VertexSet":
-        inside = set(self.ids)
-        return VertexSet(tuple(v for v in range(self.n) if v not in inside), self.n)
-
 
 class WeightedGraph:
     """Finite undirected edge-weighted graph, immutable after construction.
@@ -364,6 +360,16 @@ def _induced_arrays(
     kept = np.zeros(len(pos) + 1, dtype=np.int64)
     kept[1:] = keep.cumsum()
     return kept[offsets], j[keep], g.weights[pos[keep]]
+
+
+def _intra_class(
+    g: WeightedGraph, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, weights) of g's edges u ~ v with
+    ``a[u] == a[v] >= 0``, on all n vertices."""
+    rows = g.rows()
+    keep = (a[rows] == a[g.indices]) & (a[rows] >= 0)
+    return np.concatenate([[0], keep.cumsum()])[g.indptr], g.indices[keep], g.weights[keep]
 
 
 def delete_vertices(

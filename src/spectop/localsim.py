@@ -28,6 +28,7 @@ from .graphs import (
     GraphError,
     VertexSet,
     WeightedGraph,
+    _intra_class,
     distances,
     is_r_net,
     is_s_separated,
@@ -195,10 +196,8 @@ def _voronoi_forest(
 
 def _intra_cell(g: WeightedGraph, a: np.ndarray) -> sp.csr_matrix:
     """The edges u ~ v of g with ``a[u] == a[v] >= 0``."""
-    rows = g.rows()
-    keep = (a[rows] == a[g.indices]) & (a[rows] >= 0)
-    indptr = np.concatenate([[0], keep.cumsum()])[g.indptr]
-    return sp.csr_matrix((g.weights[keep], g.indices[keep], indptr), shape=(g.n, g.n))
+    indptr, indices, weights = _intra_class(g, a)
+    return sp.csr_matrix((weights, indices, indptr), shape=(g.n, g.n))
 
 
 def _verify_cells_connected(g: WeightedGraph, cells: CellAssignment) -> None:

@@ -69,17 +69,6 @@ class NetResult:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str, n: int) -> "NetResult":
-        obj = json.loads(text)
-        return cls(
-            method=obj["method"],
-            r=int(obj["r"]),
-            vertices=VertexSet.of(obj["vertices"], n),
-            density=float(obj["density"]),
-            verified=bool(obj["verified"]),
-        )
-
 
 def _finish(g: WeightedGraph, method: str, r: int, members: list[int]) -> NetResult:
     vs = VertexSet.of(members, g.n)

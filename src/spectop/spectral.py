@@ -48,9 +48,6 @@ DEFAULT_SOLVER_CAP = 4096
 TRACE_POWER_MAX_K = 200
 LOCAL_GLOBAL_SLACK_TOL = 1e-6
 
-# dense solves are exact enough for any ball; above this we fall back to Lanczos
-_DENSE_LAMBDA1_CAP = 4096
-
 # Restart budget (ARPACK's maxiter) of every Lanczos solve. Random-regular
 # d=4, n=4096 needs about 30 restarts for its top two eigenvalues; a top gap
 # below about 4e-4 of lambda_1 exhausts it (cycle n >= 256, torus 256x16).
@@ -97,12 +94,6 @@ class Spectrum:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def norm(self) -> float:
-        """Operator norm max |lambda| (0 for the empty spectrum)."""
-        if self.n == 0:
-            return 0.0
-        return float(max(abs(self.values[0]), abs(self.values[-1])))
 
     def below(self, sigma: float, inclusive: bool = False) -> int:
         """Number of eigenvalues < sigma (<= sigma when ``inclusive``)."""
@@ -246,18 +237,18 @@ def lambda1(g: WeightedGraph) -> float:
     When every row sum equals c, lambda1 is c exactly (the ones vector is a
     positive eigenvector), so no solve runs; this covers the graph with no
     edges (lambda1 = 0). Otherwise a dense solve up to
-    ``_DENSE_LAMBDA1_CAP`` vertices, Lanczos beyond, which raises
-    :class:`SolverBudgetError` when it does not converge within
-    ``LANCZOS_MAXITER`` restarts. Errors on the empty graph.
+    ``DEFAULT_SOLVER_CAP`` vertices, and ``InertiaCounts(g).top(1)`` beyond,
+    which is certified to within ``TOL_EIG`` or raises
+    :class:`SolverCapError`. Errors on the empty graph.
     """
     if g.n == 0:
         raise GraphError("lambda1 of the empty graph is undefined")
     c = _constant_row_sum(g)
     if c is not None:
         return c
-    if g.n <= _DENSE_LAMBDA1_CAP:
+    if g.n <= DEFAULT_SOLVER_CAP:
         return float(scipy.linalg.eigvalsh(g.dense())[-1])
-    return float(_lanczos_top(g.csr, 1, tol=1e-12)[0])
+    return InertiaCounts(g).top(1)
 
 
 class InertiaCounts:
@@ -277,20 +268,18 @@ class InertiaCounts:
     below ``SHIFT_INVERT_GAP`` B, where plain Lanczos would run out of
     restarts; either order ends in the same certificate.
 
-    The answer comes from the dense spectrum, computed once, when the
-    factorization leaves the diagonal, meets a zero pivot or is not accurate
-    enough to fix the inertia (see ``_negative_pivots``), when both Lanczos
-    runs exhaust their budget or fail the certificate, and when the graph is
-    too small for Lanczos. The size cap is that of :func:`eigenvalues`, and
-    is enforced up front.
+    The factorizations and Lanczos runs work at any n. The answer comes from
+    the dense spectrum, computed once, when the factorization leaves the
+    diagonal, meets a zero pivot or is not accurate enough to fix the
+    inertia (see ``_negative_pivots``), when both Lanczos runs exhaust their
+    budget or fail the certificate, and when the graph is too small for
+    Lanczos. That dense solve alone is capped: above ``DEFAULT_SOLVER_CAP``
+    vertices such a query raises :class:`SolverCapError` instead.
     """
 
-    def __init__(self, g: WeightedGraph, cap: int = DEFAULT_SOLVER_CAP) -> None:
-        if g.n > cap:
-            raise SolverCapError(f"n={g.n} exceeds solver cap {cap}")
+    def __init__(self, g: WeightedGraph) -> None:
         self.g = g
         self.n = g.n
-        self.cap = cap
         # per shift: the count and the last inverse-iteration vector, or None
         self._below: dict[float, tuple[int, np.ndarray] | None] = {}
         self._spectrum: Spectrum | None = None
@@ -300,7 +289,7 @@ class InertiaCounts:
 
     def _dense(self) -> Spectrum:
         if self._spectrum is None:
-            self._spectrum = eigenvalues(self.g, self.cap, compute_residual=False)
+            self._spectrum = eigenvalues(self.g, compute_residual=False)
         return self._spectrum
 
     def _negative_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
@@ -465,7 +454,7 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
     tests cannot underflow it. Like every other operation here, it acts on
     each block alone, so the values do not depend on which blocks share
     ``a``. A block still open after ``BALL_POWER_BUDGET`` steps is solved
-    densely up to order ``_DENSE_LAMBDA1_CAP`` and raises
+    densely up to order ``DEFAULT_SOLVER_CAP`` and raises
     :class:`SolverBudgetError` above it.
     """
     sizes = np.diff(np.append(starts, a.shape[0]))
@@ -496,7 +485,7 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
         x /= np.maximum.reduceat(x, starts).repeat(sizes)
     for b in np.flatnonzero(todo).tolist():
         lo, hi = starts[b], starts[b] + sizes[b]
-        if hi - lo > _DENSE_LAMBDA1_CAP:
+        if hi - lo > DEFAULT_SOLVER_CAP:
             raise SolverBudgetError(
                 f"power iteration did not settle the top eigenvalue of an "
                 f"order-{hi - lo} ball within {BALL_POWER_BUDGET} steps"

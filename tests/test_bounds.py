@@ -76,7 +76,6 @@ def test_finite_param_rhs_hand_computed():
     assert terms.tail == pytest.approx(5.12, rel=1e-12)
     assert terms.net == pytest.approx(0.6, rel=1e-12)
     assert terms.total == pytest.approx(9.0 + 5.12 + 0.6, rel=1e-12)
-    assert terms.clamped == (1.0, 1.0, 0.6)
 
 
 def test_finite_param_rhs_x_at_w_min_kills_moment_term():

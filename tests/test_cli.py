@@ -7,6 +7,7 @@ import pytest
 
 from spectop.cli import ExperimentConfig, config_hash, fmt, main, trial_seed
 from spectop.graphs import GraphError, read_graph
+from spectop.spectral import InertiaCounts
 
 
 def run(argv):
@@ -86,6 +87,8 @@ def test_impractical_theory_params_exit_2(tmp_path, monkeypatch, capsys):
          "--r", "1", "--s", "3", "--x-rule", "value", "--x", "nan"],
         ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "0.4",
          "--r", "1", "--s", "3", "--x-rule", "value", "--x", "inf"],
+        ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "1.5",
+         "--r", "1", "--s", "3", "--x-rule", "value", "--x", "1.9"],
         ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "nan",
          "--auto-rs"],
         ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "0"],
@@ -93,14 +96,20 @@ def test_impractical_theory_params_exit_2(tmp_path, monkeypatch, capsys):
         ["verify", "local-global", "--family", "cycle", "--n", "20", "--r-max", "0"],
     ],
     ids=["negative-u-size", "theta-grid-0", "thm-x-nan", "fp-x-nan", "fp-x-inf",
-         "fp-theta-nan-auto-rs", "zero-trials", "negative-trials", "zero-radii"],
+         "fp-theta-1.5", "fp-theta-nan-auto-rs", "zero-trials", "negative-trials",
+         "zero-radii"],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     # exit 1 is kept for a violated inequality; no row is no verdict
     monkeypatch.chdir(tmp_path)
+    shifts = []  # x and theta are checked before any count is factored
+    real = InertiaCounts._negative_pivots
+    monkeypatch.setattr(InertiaCounts, "_negative_pivots",
+                        lambda self, sigma: shifts.append(sigma) or real(self, sigma))
     assert run([*argv, "--out", "out"]) == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    assert shifts == []
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +447,12 @@ PINNED = [
      [s for s in SEEDS_11 for _ in range(2)]),
     (["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "0.4",
       "--r", "1", "--s", "3", "--trials", "2", "--seed", "11", "--out", "out.csv"],
-     "out.csv", "deaec5043814708d72cbe047be69b0560abcb1e911783018a4a326cbde15f855",
+     "out.csv", "1073e149d7858638d10fb380919a517f06de8e3e20e89a9cb9cc9a20d21fe748",
      "trial,seed,n,x,theta,r,s,net_size,lhs,rhs,term_moment,term_tail,term_net,ok",
      SEEDS_11),
     (["verify", "thm", "--variant", "second-eig", "--family", "cycle", "--n", "64",
       "--seed", "11", "--out", "out.json"],
-     "out.json", "64eecb06aead5bdf9bbdff2352118794ffbda3135175f0fab14f80ef5e28bb2d",
+     "out.json", "6f44227006d4054168c6570a067a3230c660d167922368db876d71b7a384c7db",
      None, None),
     (["sweep", "--config", "cfg.json"],
      "sweep-out/rad-drop.csv",

@@ -223,10 +223,3 @@ def test_drop_check_weighted_uses_graph_w_min():
     lam_g = lambda1(g)
     assert rep.rhs == pytest.approx(lam_g ** 2 - 0.5 ** 2, rel=1e-12)
     assert rep.ok
-
-
-def test_net_result_json_roundtrip():
-    g = generate(FamilySpec("cycle", n=9))
-    net = greedy_tree_net(g, 2)
-    back = NetResult.from_json(net.to_json(), g.n)
-    assert back == net

@@ -25,6 +25,7 @@ from spectop import (
     SolverCapError,
     SpectralInterval,
     Spectrum,
+    WeightedGraph,
     all_pairs_distances,
     ball,
     build_graph,
@@ -95,8 +96,42 @@ def test_eigenvalues_respects_cap():
     g = generate(FamilySpec("cycle", n=12))
     with pytest.raises(SolverCapError):
         eigenvalues(g, cap=11)
+    # a count at a refused shift (lambda_1 = 2) falls back to the dense
+    # spectrum, which InertiaCounts computes only up to the default cap
+    counts = InertiaCounts(g)
+    assert counts.below(2.0) == eigenvalues(g).below(2.0)
+    assert counts._below[2.0] is None
+
+
+def _no_dense(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(WeightedGraph, "dense", refuse)
+
+
+def test_inertia_counts_above_the_cap_match_the_closed_form(monkeypatch):
+    n = 65536
+    g = generate(FamilySpec("cycle", n=n))
+    closed = 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    _no_dense(monkeypatch)
+    counts = InertiaCounts(g)
+    for sigma in (1.5, -0.7):  # each at least 4e-5 from the spectrum
+        assert counts.below(sigma) == np.count_nonzero(closed < sigma)
+
+
+def test_refused_shift_above_the_cap_raises(monkeypatch):
+    g = generate(FamilySpec("torus-grid", dims=(80, 80)))
+    cycle = 2.0 * np.cos(2.0 * np.pi * np.arange(80) / 80)
+    closed = (cycle[:, None] + cycle[None, :]).ravel()
+    _no_dense(monkeypatch)
+    counts = InertiaCounts(g)
+    assert counts.below(1.3) == np.count_nonzero(closed < 1.3)  # 1.1e-3 from the spectrum
+    # 2 is a multiple eigenvalue, so the factorization cannot certify the
+    # count at 2, and the dense fallback would need an order-6400 solve
     with pytest.raises(SolverCapError):
-        InertiaCounts(g, cap=11)
+        counts.below(2.0)
+    assert counts._below[2.0] is None
 
 
 def test_eigenvalues_empty_graph():
@@ -294,7 +329,7 @@ def test_lambda1_balls_fall_back_to_dense_at_the_budget(monkeypatch):
         else:
             assert tops[v] == pytest.approx(dense[v], rel=1e-14)
     # above the dense cap an unsettled ball raises
-    monkeypatch.setattr(spectral, "_DENSE_LAMBDA1_CAP", 4)
+    monkeypatch.setattr(spectral, "DEFAULT_SOLVER_CAP", 4)
     with pytest.raises(SolverBudgetError):
         lambda1_balls(generate(FamilySpec("path", n=9)), 2)
 
@@ -518,7 +553,7 @@ def test_second_eig_row_orders_once_and_factors_three_times(fam, monkeypatch):
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
-    _second_eig(g, seed, argparse.Namespace(cap=spectral.DEFAULT_SOLVER_CAP))
+    _second_eig(g, seed, argparse.Namespace())
     assert orderings == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
     assert sizes == [sizes[0]] * 3  # the shared order keeps the first one's fill
 
@@ -669,11 +704,21 @@ def test_inertia_counts_zero_pivot_and_small_graphs():
 
 
 def test_lambda1_lanczos_has_a_budget(monkeypatch, tmp_path):
-    g = generate(FamilySpec("path", n=5000))  # irregular, above the dense lambda1 cap
-    monkeypatch.setattr(spectral, "LANCZOS_MAXITER", 1)
-    with pytest.raises(SolverBudgetError):
-        lambda1(g)
-    assert issubclass(SolverBudgetError, GraphError)
+    g = generate(FamilySpec("path", n=5000))  # irregular, above the dense cap
+    budgets = []
+
+    def no_convergence(*args, maxiter, **kwargs):
+        budgets.append(maxiter)
+        raise scipy.sparse.linalg.ArpackNoConvergence("no", np.empty(0), np.empty((0, 0)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        _no_dense(patch)
+        # both Lanczos runs stop at their budget, and the dense fallback is refused
+        with pytest.raises(SolverCapError):
+            lambda1(g)
+    assert budgets == [spectral.LANCZOS_MAXITER] * 2
+    assert issubclass(SolverCapError, GraphError)
     # a cycle has constant row sums, so no Lanczos solve runs at any size
     assert lambda1(generate(FamilySpec("cycle", n=5000))) == 2.0
     monkeypatch.chdir(tmp_path)
@@ -682,6 +727,16 @@ def test_lambda1_lanczos_has_a_budget(monkeypatch, tmp_path):
     assert main(argv) == 0
     with open("rd.csv", encoding="ascii") as fh:
         assert [row["lam1_g"] for row in csv.DictReader(fh)] == ["2"]
+
+
+def test_rad_drop_certifies_lambda1_of_a_path_above_the_cap(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "rad-drop", "--family", "path", "--n", "5000", "--r", "1",
+            "--out", "rd.csv"]
+    assert main(argv) == 0
+    with open("rd.csv", encoding="ascii") as fh:
+        (row,) = csv.DictReader(fh)
+    assert abs(float(row["lam1_g"]) - 2.0 * math.cos(math.pi / 5001)) <= TOL_EIG
 
 
 def test_lambda1_lanczos_within_budget():
