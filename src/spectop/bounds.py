@@ -40,7 +40,6 @@ from .spectral import (
     SpectralInterval,
     eigenvalues,
     mu,
-    m_count,
 )
 
 __all__ = [

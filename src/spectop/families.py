@@ -6,7 +6,7 @@ seed) always yields the identical graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -375,9 +375,15 @@ def _intra_class(
 def delete_vertices(
     g: WeightedGraph, removed: Iterable[int]
 ) -> tuple[WeightedGraph, tuple[int, ...]]:
-    """Graph with the given vertices (and incident edges) deleted, plus id map."""
+    """``induced_subgraph`` on the complement of ``removed`` (repeats allowed)."""
     gone = np.fromiter(removed, dtype=np.int64)
-    return induced_subgraph(g, np.setdiff1d(np.arange(g.n), gone))
+    if len(gone) and (gone.min() < 0 or gone.max() >= g.n):
+        raise VertexRangeError("deleted vertex out of range")
+    keep = np.ones(g.n, dtype=bool)
+    keep[gone] = False
+    ids = np.flatnonzero(keep)
+    h = WeightedGraph(len(ids), *_induced_arrays(g, ids), g.w_min, g.w_max, g.delta)
+    return h, tuple(ids.tolist())
 
 
 def ball(g: WeightedGraph, v: int, r: int) -> tuple[WeightedGraph, tuple[int, ...]]:

@@ -76,7 +76,7 @@ class SolverCapError(GraphError):
 
 
 class SolverBudgetError(GraphError):
-    """An iterative eigensolver ran out of its restart budget."""
+    """An eigensolver ran out of its restart budget or did not converge."""
 
 
 @dataclass(frozen=True)
@@ -236,9 +236,9 @@ def lambda1(g: WeightedGraph) -> float:
 
     When every row sum equals c, lambda1 is c exactly (the ones vector is a
     positive eigenvector), so no solve runs; this covers the graph with no
-    edges (lambda1 = 0). Otherwise a dense solve up to
-    ``DEFAULT_SOLVER_CAP`` vertices, and ``InertiaCounts(g).top(1)`` beyond,
-    which is certified to within ``TOL_EIG`` or raises
+    edges (lambda1 = 0). Otherwise a dense top-only solve (``_dense_top``)
+    up to ``DEFAULT_SOLVER_CAP`` vertices, and ``InertiaCounts(g).top(1)``
+    beyond, which is certified to within ``TOL_EIG`` or raises
     :class:`SolverCapError`. Errors on the empty graph.
     """
     if g.n == 0:
@@ -247,8 +247,18 @@ def lambda1(g: WeightedGraph) -> float:
     if c is not None:
         return c
     if g.n <= DEFAULT_SOLVER_CAP:
-        return float(scipy.linalg.eigvalsh(g.dense())[-1])
+        return _dense_top(g.dense())
     return InertiaCounts(g).top(1)
+
+
+def _dense_top(a: np.ndarray) -> float:
+    """Top eigenvalue of the symmetric matrix ``a``, which it overwrites."""
+    # LAPACK finds the n-th eigenvalue alone; a.T is a in Fortran order, not a copy
+    n = len(a)
+    w, *_, info = scipy.linalg.lapack.dsyevr(a.T, compute_v=0, range="I", il=n, iu=n, overwrite_a=1)
+    if info != 0:
+        raise SolverBudgetError(f"LAPACK dsyevr failed (info {info}) on an order-{n} matrix")
+    return float(w[0])
 
 
 class InertiaCounts:
@@ -453,9 +463,9 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
     most a factor 2m per step (m the block's order), so the steps between
     tests cannot underflow it. Like every other operation here, it acts on
     each block alone, so the values do not depend on which blocks share
-    ``a``. A block still open after ``BALL_POWER_BUDGET`` steps is solved
-    densely up to order ``DEFAULT_SOLVER_CAP`` and raises
-    :class:`SolverBudgetError` above it.
+    ``a``. A block still open after ``BALL_POWER_BUDGET`` steps gets the
+    dense top-only solve of ``lambda1`` (``_dense_top``) up to order
+    ``DEFAULT_SOLVER_CAP`` and raises :class:`SolverBudgetError` above it.
     """
     sizes = np.diff(np.append(starts, a.shape[0]))
     step_matrix = a + sp.identity(a.shape[0], format="csr")
@@ -490,7 +500,7 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
                 f"power iteration did not settle the top eigenvalue of an "
                 f"order-{hi - lo} ball within {BALL_POWER_BUDGET} steps"
             )
-        tops[b] = scipy.linalg.eigvalsh(a[lo:hi, lo:hi].toarray())[-1]
+        tops[b] = _dense_top(a[lo:hi, lo:hi].toarray())
     return tops
 
 

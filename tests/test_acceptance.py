@@ -17,7 +17,7 @@ from conftest import random_connected_graph
 from spectop.bounds import finite_param_check, interlacing_check
 from spectop.cli import ExperimentConfig, main, n_workers, sweep_rows
 from spectop.families import FamilySpec, generate
-from spectop.graphs import VertexSet, all_pairs_distances, distances, UNREACHABLE
+from spectop.graphs import VertexSet, distances, UNREACHABLE
 from spectop.localsim import (
     LocalLabels,
     adjacency_transport,

@@ -3,6 +3,7 @@ importing it stays light."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -49,6 +50,25 @@ def test_every_exported_name_resolves(module):
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_imported_name_is_read(module):
+    # pyflakes' unused-import check from the standard library; a name in the
+    # module's __all__ counts as read (a re-export)
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
 
 
 def test_import_loads_no_quadrature_or_optimizer():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from spectop import (
     AsymmetricWeightError,
-    DisconnectedGraphError,
     DuplicateEdgeError,
     GraphFormatError,
     NonpositiveWeightError,
@@ -221,6 +220,27 @@ def test_delete_vertices_complement(cycle12):
     assert h.n == 11
     assert 0 not in vmap
     assert h.m == 10
+
+
+@given(g=graphs, data=st.data())
+def test_delete_vertices_is_the_induced_subgraph_on_the_complement(g, data):
+    # repeated ids and the empty set included
+    gone = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=2 * g.n))
+    h, vmap = delete_vertices(g, iter(gone))
+    sub, sub_vmap = induced_subgraph(g, set(range(g.n)) - set(gone))
+    assert vmap == sub_vmap
+    assert all(type(v) is int for v in vmap)
+    assert (h.n, h.w_min, h.w_max, h.delta) == (sub.n, sub.w_min, sub.w_max, sub.delta)
+    for a, b in [(h.indptr, sub.indptr), (h.indices, sub.indices), (h.weights, sub.weights)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gone", [[7, -1, 2, 2], [-1], [6], [2, 6]])
+def test_delete_vertices_rejects_ids_out_of_range(gone):
+    # a negative id must not wrap around to the end of the vertex range
+    cycle6 = build_graph(6, [(v, (v + 1) % 6, 1.0) for v in range(6)])
+    with pytest.raises(VertexRangeError):
+        delete_vertices(cycle6, gone)
 
 
 def test_is_r_net_hand_cases(path7):

@@ -159,7 +159,7 @@ def test_lambda1_of_constant_row_sums_needs_no_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a graph with constant row sums")
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(spectral, "_dense_top", no_solve)
     # every vertex has one edge of each weight
     g = build_graph(4, [(0, 1, 0.5), (1, 2, 1.5), (2, 3, 0.5), (3, 0, 1.5)])
     assert lambda1(g) == 2.0
@@ -167,6 +167,44 @@ def test_lambda1_of_constant_row_sums_needs_no_solve(monkeypatch):
     monkeypatch.undo()
     # isolated vertices (empty rows, here the last) break the constant row sum, as in G - W
     assert lambda1(build_graph(3, [(0, 1, 1.0)])) == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_oracle(g):
+    return scipy.linalg.eigvalsh(g.dense())[-1]
+
+
+@given(g=graphs, seed=st.integers(0, 10_000))
+def test_lambda1_matches_the_full_dense_spectrum(g, seed):
+    # empty, edgeless and disconnected graphs, weights in [0.5, 2]
+    if g.n == 0:
+        with pytest.raises(GraphError):
+            lambda1(g)
+        return
+    weights = rng_for(seed).uniform(0.5, 2.0, g.m).tolist()
+    g = build_graph(g.n, [(u, v, w) for (u, v, _), w in zip(g.edges(), weights)])
+    assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
+
+
+def test_lambda1_matches_the_full_dense_spectrum_at_a_repeated_top_and_large_n():
+    h = random_connected_graph(7, n_min=20, n_max=30, weighted=True)
+    edges = list(h.edges())
+    # two disjoint copies: the top eigenvalue is double
+    twice = build_graph(2 * h.n, edges + [(u + h.n, v + h.n, w) for u, v, w in edges])
+    large = random_connected_graph(3, n_min=300, n_max=400, weighted=True)
+    for g in (h, twice, large):
+        assert spectral._constant_row_sum(g) is None  # irregular: the dense solve runs
+        assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
+    assert abs(lambda1(twice) - lambda1(h)) <= 1e-12 * lambda1(h)
+
+
+def test_a_lapack_failure_in_lambda1_raises(monkeypatch):
+    def failed(a, **kwargs):
+        return np.zeros(len(a)), np.zeros((0, 0)), 0, np.zeros(0, dtype=np.int32), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failed)
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])  # a path: irregular, so solved
+    with pytest.raises(SolverBudgetError, match="info 3"):
+        lambda1(g)
 
 
 def test_m_count_endpoint_semantics():
@@ -323,9 +361,11 @@ def test_lambda1_balls_fall_back_to_dense_at_the_budget(monkeypatch):
     tops = lambda1_balls(g, 2)
     dense = dense_ball_tops(g, 2)
     for v in range(g.n):
-        sums = ball(g, v, 2)[0].csr.sum(axis=1)
+        h = ball(g, v, 2)[0]
+        sums = h.csr.sum(axis=1)
         if sums.min() < sums.max():  # not settled by the first step from x = 1
-            assert tops[v] == dense[v]
+            assert tops[v] == lambda1(h)  # lambda1's dense top-only solve
+            assert tops[v] == pytest.approx(dense[v], rel=1e-14)
         else:
             assert tops[v] == pytest.approx(dense[v], rel=1e-14)
     # above the dense cap an unsettled ball raises
