@@ -70,7 +70,7 @@ class BoundParams:
 
     ``delta_top`` is the spectral mass strictly above x, ``eps_net`` the
     density of the removed r-net, ``delta`` the degree cap, and ``w_min`` /
-    ``w_max`` the weight range (so ``delta_tilde = delta * w_max / w_min``).
+    ``w_max`` the weight range.
     """
 
     theta: float
@@ -95,10 +95,6 @@ class BoundParams:
         if self.delta < 1 or self.w_min <= 0 or self.w_max < self.w_min:
             raise GraphError("need delta >= 1 and 0 < w_min <= w_max")
 
-    @property
-    def delta_tilde(self) -> float:
-        return self.delta * self.w_max / self.w_min
-
 
 @dataclass(frozen=True)
 class BoundTerms:
@@ -116,27 +112,40 @@ class BoundTerms:
     def total(self) -> float:
         return self.moment + self.tail + self.net
 
-    def as_dict(self) -> dict[str, float]:
-        return {"moment": self.moment, "tail": self.tail, "net": self.net}
-
 
 def finite_param_rhs(params: BoundParams) -> BoundTerms:
     """Evaluate the three terms of the window bound in double precision.
 
-    Overflow is tolerated (a term may be inf); the 0 * inf corner when
-    delta_top = 0 and the Delta power overflows resolves to 0.
+    A term beyond the float range is inf. A power that overflows alone is
+    redone in logs with its factor, which can bring the term back in range.
+    The tail is 0 when delta_top = 0, however large the Delta power.
     """
-    base = 1.0 - (params.w_min / params.x) ** (2 * params.r)
+    theta, r, s = params.theta, params.r, params.s
+    base = 1.0 - (params.w_min / params.x) ** (2 * r)
     if base <= 0.0:
         moment = 0.0
     else:
-        moment = (1.0 - params.theta) ** (-2 * params.s) * base ** (
-            params.s / params.r
-        )
-    power = math.pow(params.delta, 2 * (params.s + 2))
-    tail = 0.0 if params.delta_top == 0.0 else 2.0 * params.delta_top * power
+        try:
+            moment = (1.0 - theta) ** (-2 * s) * base ** (s / r)
+        except OverflowError:
+            moment = _exp(-2 * s * math.log1p(-theta) + s / r * math.log(base))
+    if params.delta_top == 0.0:
+        tail = 0.0
+    else:
+        try:
+            tail = 2.0 * params.delta_top * math.pow(params.delta, 2 * (s + 2))
+        except OverflowError:
+            tail = _exp(math.log(2.0 * params.delta_top) + 2 * (s + 2) * math.log(params.delta))
     net = 2.0 * params.eps_net
     return BoundTerms(moment=moment, tail=tail, net=net)
+
+
+def _exp(v: float) -> float:
+    """exp(v), inf above the float range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -197,8 +206,8 @@ def finite_param_check(
     )
     if spectrum is None:
         spectrum = InertiaCounts(g)
-    delta_top = float(mu(spectrum, SpectralInterval.above(x)))
-    terms = finite_param_rhs(replace(params, delta_top=delta_top))
+    params = replace(params, delta_top=float(mu(spectrum, SpectralInterval.above(x))))
+    terms = finite_param_rhs(params)
     lhs = float(mu(spectrum, SpectralInterval.top_window(x, theta)))
     rhs = terms.total
     ok = lhs <= rhs + FINITE_PARAM_TOL
@@ -207,20 +216,8 @@ def finite_param_check(
         lhs=lhs,
         rhs=rhs,
         ok=ok,
-        terms=terms.as_dict(),
-        params={
-            "x": x,
-            "theta": theta,
-            "r": r,
-            "s": s,
-            "delta_top": delta_top,
-            "eps_net": net.density,
-            "delta": g.delta,
-            "w_min": g.w_min,
-            "w_max": g.w_max,
-            "n": g.n,
-            "net_method": net.method,
-        },
+        terms=asdict(terms),
+        params={**asdict(params), "n": g.n, "net_method": net.method},
         hypotheses={
             "x_ge_w_min": x >= g.w_min,
             "theta_in_range": 0.0 <= theta < 1.0,
@@ -252,7 +249,10 @@ def select_r_s(theta: float, delta_tilde: float) -> RSSelection:
         return RSSelection(0, 0, False, "delta_tilde must exceed 1")
     # nudge before floor: 1/theta for decimal theta like 1e-5 lands one ulp
     # below the intended integer
-    s = math.floor((1.0 / theta) * (1.0 + 1e-12))
+    rounds = (1.0 / theta) * (1.0 + 1e-12)
+    if rounds == math.inf:
+        return RSSelection(0, 0, False, "theta too small: 1/theta overflows")
+    s = math.floor(rounds)
     if s < 1:
         return RSSelection(s, 0, False, "theta > 1 leaves no moment rounds")
     # nudge before floor so exact powers are not lost to rounding
@@ -323,7 +323,10 @@ def thm_checker(
     else:
         if c is None or not 0 < c < math.inf:
             raise GraphError("expander variant needs a finite assumed expansion c > 0")
-        size_floor = 2.0 * theta ** (-c / (10.0 * log_dt))
+        try:
+            size_floor = 2.0 * theta ** (-c / (10.0 * log_dt))
+        except OverflowError:  # beyond any graph's size
+            size_floor = math.inf
         hypotheses["graph_size"] = g.n >= size_floor * (1.0 - HYPOTHESIS_REL_TOL)
         rate = theta ** (c / (40.0 * log_dt))
     for name, passed in hypotheses.items():
@@ -375,18 +378,15 @@ class InterlacingReport:
 
 
 def interlacing_check(
-    g: WeightedGraph,
-    u: VertexSet,
-    mode: str = "delete",
-    grid: np.ndarray | None = None,
+    g: WeightedGraph, u: VertexSet, mode: str = "delete"
 ) -> InterlacingReport:
     """Compare eigenvalue counts of G and of G with U removed.
 
     ``mode="delete"`` removes the vertices; ``mode="zero-rows-cols"`` keeps
     them as isolated vertices.  Counts m(-inf, x] may differ by at most |U|
     at every grid point, and interval counts m[x, y] by at most 2|U|.  The
-    default grid takes midpoints between consecutive points of the merged
-    spectra, plus one point beyond each extreme, where counting is exact.
+    grid takes midpoints between consecutive points of the merged spectra,
+    plus one point beyond each extreme, where counting is exact.
     """
     spec_g = eigenvalues(g, compute_residual=False)
     if mode == "delete":
@@ -398,22 +398,20 @@ def interlacing_check(
     else:
         raise GraphError(f"unknown interlacing mode {mode!r}")
     spec_h = eigenvalues(h, compute_residual=False)
-    if grid is None:
-        merged = np.unique(np.concatenate([spec_g.values, spec_h.values]))
-        # collapse values that agree up to solver error: an eigenvalue shared
-        # by G and H analytically comes back as two floats 1e-15 apart, and a
-        # midpoint between those would count one but not the other
-        if len(merged) > 1:
-            gaps = np.diff(merged)
-            merged = merged[np.concatenate([[True], gaps > TOL_EIG])]
-        if len(merged) == 0:
-            grid = np.array([0.0])
-        elif len(merged) == 1:
-            grid = np.array([merged[0] - 1.0, merged[0] + 1.0])
-        else:
-            mids = (merged[:-1] + merged[1:]) / 2.0
-            grid = np.concatenate([[merged[0] - 1.0], mids, [merged[-1] + 1.0]])
-    grid = np.asarray(grid, dtype=np.float64)
+    merged = np.unique(np.concatenate([spec_g.values, spec_h.values]))
+    # collapse values that agree up to solver error: an eigenvalue shared
+    # by G and H analytically comes back as two floats 1e-15 apart, and a
+    # midpoint between those would count one but not the other
+    if len(merged) > 1:
+        gaps = np.diff(merged)
+        merged = merged[np.concatenate([[True], gaps > TOL_EIG])]
+    if len(merged) == 0:
+        grid = np.array([0.0])
+    elif len(merged) == 1:
+        grid = np.array([merged[0] - 1.0, merged[0] + 1.0])
+    else:
+        mids = (merged[:-1] + merged[1:]) / 2.0
+        grid = np.concatenate([[merged[0] - 1.0], mids, [merged[-1] + 1.0]])
 
     le_g = np.searchsorted(spec_g.values, grid, side="right")
     le_h = np.searchsorted(spec_h.values, grid, side="right")
@@ -421,7 +419,7 @@ def interlacing_check(
     lt_h = np.searchsorted(spec_h.values, grid, side="left")
     d_le = le_g - le_h
     d_lt = lt_g - lt_h
-    halfline_dev = int(np.abs(d_le).max()) if len(grid) else 0
+    halfline_dev = int(np.abs(d_le).max())
 
     # interval count m[x, y] = (# <= y) - (# < x); maximize |D_le[j] - D_lt[i]|
     # over i <= j using prefix extrema of D_lt

@@ -35,12 +35,13 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 import scipy
@@ -73,7 +74,6 @@ from .spectral import (
     eigenvalues,
     interval_query_json,
     local_global_check,
-    spectrum_to_csv,
 )
 from .walks import (
     DEFAULT_THETA_GRID,
@@ -81,7 +81,6 @@ from .walks import (
     decay_fit,
     return_decay_roundtrip,
     return_probs_finite,
-    series_to_csv,
     tree_return_probs,
 )
 
@@ -142,7 +141,7 @@ def invocation_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -252,19 +251,23 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(",") if part)
 
 
+# Each sweep ``families`` entry key with the argparse keywords of its flag,
+# ``--<dest>``; a sweep converts an entry's values with them.
+FAMILY_FLAGS = {
+    "family": {"choices": FAMILIES, "help": "named graph family"},
+    "n": {"type": int, "help": "vertex count (path, cycle, complete, random-regular)"},
+    "d": {"type": int, "help": "degree or dimension, family dependent"},
+    "depth": {"type": int, "help": "radius for tree-ball"},
+    "dims": {"type": _parse_dims, "help": "torus-grid side lengths, AxB"},
+    "seed": {"dest": "family_seed", "type": int,
+             "help": "pin the random-regular seed; default derives it from the run seed"},
+}
+
+
 def add_graph_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--graph", help="path to a graph file (overrides family flags)")
-    sp.add_argument("--family", choices=FAMILIES, help="named graph family")
-    sp.add_argument("--n", type=int, help="vertex count (path, cycle, complete, random-regular)")
-    sp.add_argument("--d", type=int, help="degree or dimension, family dependent")
-    sp.add_argument("--depth", type=int, help="radius for tree-ball")
-    sp.add_argument("--dims", type=_parse_dims, help="torus-grid side lengths, AxB")
-    sp.add_argument(
-        "--family-seed",
-        type=int,
-        default=None,
-        help="pin the random-regular seed; default derives it from the run seed",
-    )
+    for key, kw in FAMILY_FLAGS.items():
+        sp.add_argument("--" + kw.get("dest", key).replace("_", "-"), **kw)
 
 
 def family_of(args: argparse.Namespace) -> dict:
@@ -274,13 +277,11 @@ def family_of(args: argparse.Namespace) -> dict:
         return {"graph": args.graph}
     if args.family is None:
         raise GraphError("either --graph or --family is required")
-    fam = {"family": args.family}
-    for key in ("n", "d", "depth", "dims"):
-        value = getattr(args, key)
+    fam = {}
+    for key, kw in FAMILY_FLAGS.items():
+        value = getattr(args, kw.get("dest", key))
         if value is not None:
             fam[key] = list(value) if isinstance(value, tuple) else value
-    if args.family_seed is not None:
-        fam["seed"] = args.family_seed
     return fam
 
 
@@ -334,13 +335,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = graph_provider(family_of(args))(args.seed)
     spectrum = eigenvalues(g, cap=args.cap, compute_residual=not args.no_residual)
-    spectrum_to_csv(spectrum, args.out)
-    write_manifest(args.out, invocation_config(args), args.seed)
+    config = invocation_config(args)
+    rows = enumerate(spectrum.values)
+    emit(csv_text(("index", "eigenvalue"), rows), args.out, config, args.seed)
     if args.interval is not None:
         a, b = args.interval
         iv = SpectralInterval(a, b, not args.open_a, not args.open_b)
         text = json.dumps(interval_query_json(spectrum, iv), sort_keys=True)
-        emit(text, args.query_out, invocation_config(args), args.seed)
+        emit(text, args.query_out, config, args.seed)
     return 0
 
 
@@ -651,8 +653,11 @@ def cmd_verify_thm(args: argparse.Namespace) -> int:
 
 def cmd_walks_tree(args: argparse.Namespace) -> int:
     series = tree_return_probs(args.d, args.N)
-    series_to_csv(series, args.out)
-    write_manifest(args.out, invocation_config(args), None)
+    # scaled = p_2n (d / rho)^{2n} with rho = 2 sqrt(d - 1), taken in logs
+    ratio = math.log(args.d) - math.log(2.0 * math.sqrt(args.d - 1.0))
+    rows = [(n, p, math.exp(math.log(p) + 2 * n * ratio) if p > 0 else 0.0)
+            for n, p in enumerate(series.values)]
+    emit(csv_text(("n", "p_2n", "scaled"), rows), args.out, invocation_config(args), None)
     return 0
 
 
@@ -662,8 +667,8 @@ def cmd_walks_finite(args: argparse.Namespace) -> int:
         series = return_probs_finite(g, args.origin, args.K)
     else:
         series = adjacency_moments(g, args.origin, args.K)
-    series_to_csv(series, args.out)
-    write_manifest(args.out, invocation_config(args), args.seed)
+    rows = enumerate(series.values)
+    emit(csv_text(("k", "value"), rows), args.out, invocation_config(args), args.seed)
     return 0
 
 
@@ -738,22 +743,27 @@ class ExperimentConfig:
 SWEEP_DEFAULTS = {"trials": 10, "r": 1}
 
 
-def _grid_value(key: str, kw: dict, value: Any) -> Any:
-    """A grid value checked and converted as the verify flag would be."""
+def _config_value(name: str, kw: dict, value: Any) -> Any:
+    """A sweep config value converted as its flag, with argparse keywords
+    ``kw``, converts the value's text: ``str(value)``, or "AxB" for a pair
+    [A, B], as ``--dims`` takes it. ``name`` names the value in errors.
+    """
     if value is None:
         if kw.get("required"):
-            raise GraphError(f"the sweep grid needs {key!r}")
+            raise GraphError(f"{name} is required")
         return None
+    pair = isinstance(value, list) and len(value) == 2
+    text = f"{value[0]}x{value[1]}" if pair else str(value)
     try:
         if kw.get("action") == "store_true":
             if not isinstance(value, bool):
                 raise ValueError
         elif "type" in kw:
-            value = kw["type"](value)
-    except (TypeError, ValueError):
-        raise GraphError(f"grid {key!r}: bad value {value!r}") from None
+            value = kw["type"](text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise GraphError(f"{name}: bad value {value!r}") from None
     if "choices" in kw and value not in kw["choices"]:
-        raise GraphError(f"grid {key!r}: {value!r} is not one of {kw['choices']}")
+        raise GraphError(f"{name}: {value!r} is not one of {kw['choices']}")
     return value
 
 
@@ -766,10 +776,11 @@ def _grid_params(suite: Suite, grid: dict) -> argparse.Namespace:
     values = {}
     for key, kw in suite.params.items():
         value = grid.get(key, SWEEP_DEFAULTS.get(key, kw.get("default")))
+        name = f"grid {key!r}"
         if isinstance(value, list) and key != "trials":  # the trial count is not swept
-            values[key] = [_grid_value(key, kw, v) for v in value]
+            values[key] = [_config_value(name, kw, v) for v in value]
         else:
-            values[key] = _grid_value(key, kw, value)
+            values[key] = _config_value(name, kw, value)
     return argparse.Namespace(**values)
 
 
@@ -802,18 +813,20 @@ def sweep_rows(
         raise GraphError(f"unknown sweep suite {cfg.suite!r}; choose from {sorted(SUITES)}")
     p = _grid_params(SUITES[cfg.suite], cfg.grid)
     tol = _tolerance(cfg)
-    keys = set(FamilySpec.__dataclass_fields__)
+    families = []
     for fam in cfg.families:
-        if not isinstance(fam, dict) or "family" not in fam or set(fam) - keys:
+        if not isinstance(fam, dict) or "family" not in fam or set(fam) - set(FAMILY_FLAGS):
             raise GraphError(
-                f"families entry {fam!r}: needs 'family' and takes only {sorted(keys)}"
+                f"families entry {fam!r}: needs 'family' and takes only {sorted(FAMILY_FLAGS)}"
             )
-        if isinstance(fam.get("seed"), int) and fam["seed"] < 0:
+        entry = {key: _config_value(f"families entry {key!r}", FAMILY_FLAGS[key], v)
+                 for key, v in fam.items()}
+        if (entry.get("seed") or 0) < 0:
             raise GraphError(f"families entry {fam!r}: the seed must be >= 0")
-    families = list(cfg.families)
+        families.append(entry)
     if "n" in cfg.grid:
         sizes = cfg.grid["n"] if isinstance(cfg.grid["n"], list) else [cfg.grid["n"]]
-        sizes = [_grid_value("n", {"type": int}, n) for n in sizes]
+        sizes = [_config_value("grid 'n'", FAMILY_FLAGS["n"], n) for n in sizes]
         families = [{**fam, "n": n} for fam in families for n in sizes]
     if hasattr(p, "trials"):
         cases = []

@@ -435,6 +435,8 @@ def is_r_net(g: WeightedGraph, w: Iterable[int], r: int) -> bool:
 def is_s_separated(g: WeightedGraph, w: Iterable[int], s: int) -> bool:
     """Are all pairwise hop distances within ``w`` at least ``s``?"""
     members = sorted({int(v) for v in w})
+    if members and (members[0] < 0 or members[-1] >= g.n):
+        raise VertexRangeError(f"vertex out of range 0..{g.n - 1}")
     if len(members) <= 1 or s <= 0:
         return True
     inset = np.zeros(g.n, dtype=bool)

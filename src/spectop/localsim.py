@@ -30,11 +30,10 @@ from .graphs import (
     WeightedGraph,
     _intra_class,
     distances,
-    is_r_net,
     is_s_separated,
     UNREACHABLE,
 )
-from .nets import NetResult, _ranked_bfs, _tree_net
+from .nets import NetResult, _finish, _ranked_bfs, _tree_net
 from .rng import keyed_uniforms
 
 __all__ = [
@@ -263,8 +262,7 @@ def local_net(
     cells, parent, layers = _voronoi_forest(g, captains, labels, R)
     a = cells.assignment
     members = _tree_net(_intra_cell(g, a), parent, layers, r) | (a < 0)
-    vs = VertexSet(tuple(np.flatnonzero(members).tolist()), g.n)
-    net = NetResult("local-captain", r, vs, vs.density, is_r_net(g, vs, r))
+    net = _finish(g, "local-captain", r, members)
     return LocalNetRun(net=net, cells=cells, labels=labels, p=p, R=R, r=r)
 
 

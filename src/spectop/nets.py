@@ -70,10 +70,10 @@ class NetResult:
         )
 
 
-def _finish(g: WeightedGraph, method: str, r: int, members: list[int]) -> NetResult:
-    vs = VertexSet.of(members, g.n)
-    verified = is_r_net(g, vs, r)
-    return NetResult(method, r, vs, vs.density, verified)
+def _finish(g: WeightedGraph, method: str, r: int, mask: np.ndarray) -> NetResult:
+    """The net of the boolean vertex ``mask``, checked by the covering test."""
+    vs = VertexSet(tuple(np.flatnonzero(mask).tolist()), g.n)
+    return NetResult(method, r, vs, vs.density, bool(_covered(g.csr, mask, r).all()))
 
 
 def greedy_tree_net(
@@ -96,15 +96,14 @@ def greedy_tree_net(
         raise GraphError("net radius must be nonnegative")
     n = g.n
     if n == 0:
-        return _finish(g, "greedy-tree", r, [])
+        return _finish(g, "greedy-tree", r, np.zeros(0, dtype=bool))
     key = np.zeros(n) if priority is None else np.asarray(priority)
     if len(key) != n:
         raise GraphError("priority must have one entry per vertex")
     parent, layers = _ranked_bfs(g, key, [int(np.argmin(key))])
     if sum(map(len, layers)) < n:
         raise DisconnectedGraphError("greedy_tree_net needs a connected graph")
-    net = _tree_net(g.csr, parent, layers, r)
-    return _finish(g, "greedy-tree", r, np.flatnonzero(net).tolist())
+    return _finish(g, "greedy-tree", r, _tree_net(g.csr, parent, layers, r))
 
 
 def _ranked_bfs(
@@ -194,7 +193,7 @@ def random_expander_net(
     rng = np.random.default_rng(seed)
     w0 = rng.random(g.n) < p
     far = ~_covered(g.csr, w0, r)
-    return _finish(g, "expander-random", r, np.flatnonzero(w0 | far).tolist())
+    return _finish(g, "expander-random", r, w0 | far)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "trace_power",
     "LocalGlobalReport",
     "local_global_check",
-    "spectrum_to_csv",
     "interval_query_json",
 ]
 
@@ -563,38 +562,34 @@ def _kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def m_count(
-    spectrum: Spectrum | InertiaCounts, interval: SpectralInterval, tol: float = TOL_EIG
-) -> int:
+def m_count(spectrum: Spectrum | InertiaCounts, interval: SpectralInterval) -> int:
     """Number of eigenvalues in the interval.
 
-    Eigenvalues within ``tol`` of a closed endpoint count as inside; within
-    ``tol`` of an open endpoint they count as outside.
+    Eigenvalues within ``TOL_EIG`` of a closed endpoint count as inside;
+    within ``TOL_EIG`` of an open endpoint they count as outside.
     """
     if spectrum.n == 0:
         return 0
     if interval.a == -math.inf:
         lo = 0
     elif interval.closed_a:
-        lo = spectrum.below(interval.a - tol)
+        lo = spectrum.below(interval.a - TOL_EIG)
     else:
-        lo = spectrum.below(interval.a + tol, inclusive=True)
+        lo = spectrum.below(interval.a + TOL_EIG, inclusive=True)
     if interval.b == math.inf:
         hi = spectrum.n
     elif interval.closed_b:
-        hi = spectrum.below(interval.b + tol, inclusive=True)
+        hi = spectrum.below(interval.b + TOL_EIG, inclusive=True)
     else:
-        hi = spectrum.below(interval.b - tol)
+        hi = spectrum.below(interval.b - TOL_EIG)
     return max(0, hi - lo)
 
 
-def mu(
-    spectrum: Spectrum | InertiaCounts, interval: SpectralInterval, tol: float = TOL_EIG
-) -> Fraction:
+def mu(spectrum: Spectrum | InertiaCounts, interval: SpectralInterval) -> Fraction:
     """Normalized counting measure of the interval, as an exact rational."""
     if spectrum.n == 0:
         raise GraphError("mu of the empty spectrum is undefined")
-    return Fraction(m_count(spectrum, interval, tol), spectrum.n)
+    return Fraction(m_count(spectrum, interval), spectrum.n)
 
 
 def trace_power(g: WeightedGraph, k: int) -> float:
@@ -650,19 +645,9 @@ def local_global_check(g: WeightedGraph, r: int) -> LocalGlobalReport:
 # -- exports -----------------------------------------------------------------
 
 
-def spectrum_to_csv(spectrum: Spectrum, path: str) -> None:
-    """CSV with header ``index,eigenvalue``, ascending, 17 significant digits."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(spectrum.values):
-            fh.write(f"{i},{format(float(v), '.17g')}\n")
-
-
-def interval_query_json(
-    spectrum: Spectrum, interval: SpectralInterval, tol: float = TOL_EIG
-) -> dict:
+def interval_query_json(spectrum: Spectrum, interval: SpectralInterval) -> dict:
     """The flat record {a, b, closed_a, closed_b, count, mu}."""
-    count = m_count(spectrum, interval, tol)
+    count = m_count(spectrum, interval)
     return {
         "a": interval.a,
         "b": interval.b,

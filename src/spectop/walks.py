@@ -36,7 +36,6 @@ __all__ = [
     "decay_fit",
     "RoundtripReport",
     "return_decay_roundtrip",
-    "series_to_csv",
 ]
 
 RETURN_K_CAP = 500
@@ -123,15 +122,7 @@ def return_probs_finite(g: WeightedGraph, o: int, K: int) -> ReturnSeries:
     if o < 0 or o >= g.n:
         raise GraphError("root out of range")
     d = _assert_regular_unit(g)
-    transition = g.csr / d
-    x = np.zeros(g.n)
-    x[o] = 1.0
-    out = np.empty(K + 1)
-    out[0] = 1.0
-    for k in range(1, K + 1):
-        x = transition @ x
-        out[k] = x[o]
-    return ReturnSeries("srw-probability", out, d, "finite-graph")
+    return ReturnSeries("srw-probability", _root_walk(g.csr / d, o, K), d, "finite-graph")
 
 
 def adjacency_moments(g: WeightedGraph, o: int, K: int) -> ReturnSeries:
@@ -140,15 +131,19 @@ def adjacency_moments(g: WeightedGraph, o: int, K: int) -> ReturnSeries:
         raise GraphError(f"K must lie in 0..{RETURN_K_CAP}")
     if o < 0 or o >= g.n:
         raise GraphError("root out of range")
-    a = g.csr
-    x = np.zeros(g.n)
+    return ReturnSeries("adjacency-moment", _root_walk(g.csr, o, K), None, "finite-graph")
+
+
+def _root_walk(step, o: int, K: int) -> np.ndarray:
+    """<1_o, step^k 1_o> for k = 0..K, by K sparse matvecs."""
+    x = np.zeros(step.shape[0])
     x[o] = 1.0
     out = np.empty(K + 1)
     out[0] = 1.0
     for k in range(1, K + 1):
-        x = a @ x
+        x = step @ x
         out[k] = x[o]
-    return ReturnSeries("adjacency-moment", out, None, "finite-graph")
+    return out
 
 
 def tree_return_probs(d: int, N: int) -> ReturnSeries:
@@ -295,25 +290,10 @@ def moment_mass_upper(series: ReturnSeries, rho: float, theta: float) -> float:
     k_top = 2 * series.k_max if series.source == "tree-dp" else series.k_max
     best = 0.0  # log of 1, the n = 0 bound
     for k in range(2, k_top + 1, 2):
-        log_m = _series_log_even_moment(series, k)
-        if log_m is not None:
+        log_m = series.log_moment(k)
+        if log_m > -math.inf:  # skips an M_k that underflowed to 0
             best = min(best, log_m - k * floor_log)
     return math.exp(best)
-
-
-def _series_log_even_moment(series: ReturnSeries, k: int) -> float | None:
-    """log M_k for even k, honoring the tree-dp index convention."""
-    if series.source == "tree-dp":
-        idx = k // 2
-        if idx >= len(series.values):
-            return None
-        v = float(series.values[idx])
-        if v <= 0.0:
-            return None
-        return math.log(v) + k * math.log(series.d)
-    if k >= len(series.values):
-        return None
-    return series.log_moment(k) if series.values[k] > 0 else None
 
 
 @dataclass(frozen=True)
@@ -415,21 +395,3 @@ def return_decay_roundtrip(
         window=window,
     )
 
-
-def series_to_csv(series: ReturnSeries, path: str) -> None:
-    """CSV ``n,p_2n,scaled`` with scaled = p_{2n} (d/rho)^{2n} (tree layout),
-    or ``k,value`` for finite-graph series."""
-    with open(path, "w", encoding="ascii") as fh:
-        if series.source == "tree-dp":
-            rho = 2.0 * math.sqrt(series.d - 1.0)
-            ratio = math.log(series.d) - math.log(rho)
-            fh.write("n,p_2n,scaled\n")
-            for n, p in enumerate(series.values):
-                scaled = math.exp(math.log(p) + 2 * n * ratio) if p > 0 else 0.0
-                fh.write(
-                    f"{n},{format(float(p), '.17g')},{format(scaled, '.17g')}\n"
-                )
-        else:
-            fh.write("k,value\n")
-            for k, v in enumerate(series.values):
-                fh.write(f"{k},{format(float(v), '.17g')}\n")

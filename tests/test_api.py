@@ -4,6 +4,7 @@ importing it stays light."""
 from __future__ import annotations
 
 import ast
+import glob
 import importlib
 import os
 import pkgutil
@@ -69,6 +70,29 @@ def test_every_imported_name_is_read(module):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
+
+
+def test_only_cli_and_graphs_open_files_for_writing():
+    # cli writes every artifact (through emit) and graphs the graph files; a
+    # mode that is not a string literal counts as writing
+    src = os.path.dirname(spectop.__file__)
+    writes = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        if name in ("cli.py", "graphs.py"):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or "open" not in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                continue
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                writes.append(f"{name}:{node.lineno}")
+    assert writes == []
 
 
 def test_import_loads_no_quadrature_or_optimizer():

@@ -55,15 +55,6 @@ def test_bound_params_validation():
             BoundParams(**{**good, key: bad})
 
 
-def test_bound_params_delta_tilde_definition():
-    p = BoundParams(theta=0.1, x=1.0, r=1, s=1, delta_top=0.0, eps_net=0.0,
-                    delta=2, w_min=1.0, w_max=1.0)
-    assert p.delta_tilde == 2.0
-    q = BoundParams(theta=0.1, x=1.0, r=1, s=1, delta_top=0.0, eps_net=0.0,
-                    delta=3, w_min=0.5, w_max=2.0)
-    assert q.delta_tilde == 12.0
-
-
 def test_finite_param_rhs_hand_computed():
     p = BoundParams(theta=0.5, x=2.0, r=1, s=2, delta_top=0.01, eps_net=0.3,
                     delta=2, w_min=1.0, w_max=1.0)
@@ -75,6 +66,22 @@ def test_finite_param_rhs_hand_computed():
     assert terms.tail == pytest.approx(5.12, rel=1e-12)
     assert terms.net == pytest.approx(0.6, rel=1e-12)
     assert terms.total == pytest.approx(9.0 + 5.12 + 0.6, rel=1e-12)
+
+
+def test_finite_param_rhs_overflow():
+    # 2^1200 overflows alone, but 2^1200 base^10 is about 1e262
+    p = BoundParams(theta=0.5, x=1.0 + 1e-12, r=60, s=600, delta_top=0.0, eps_net=0.0,
+                    delta=2)
+    base = 1.0 - (1.0 / p.x) ** 120
+    terms = finite_param_rhs(p)
+    assert terms.moment == pytest.approx(math.ldexp(base**10, 1200), rel=1e-9)
+    assert terms.tail == 0.0  # delta_top = 0, though 2^1204 overflows
+    # 2^1024 overflows alone, but 0.02 * 2^1024 is about 3.6e306
+    p = BoundParams(theta=0.1, x=2.0, r=1, s=510, delta_top=0.01, eps_net=0.0, delta=2)
+    assert finite_param_rhs(p).tail == pytest.approx(math.ldexp(0.02, 1024), rel=1e-9)
+    p = BoundParams(theta=0.5, x=2.0, r=1, s=2000, delta_top=0.01, eps_net=0.0, delta=2)
+    terms = finite_param_rhs(p)
+    assert terms.moment == terms.tail == terms.total == math.inf
 
 
 def test_finite_param_rhs_x_at_w_min_kills_moment_term():
@@ -142,6 +149,8 @@ def test_select_r_s_exact_reciprocal():
 def test_select_r_s_rejections():
     assert not select_r_s(0.0, 2.0).ok
     assert select_r_s(math.nan, 2.0).reason == "theta must be positive"
+    tiny = select_r_s(5e-324, 2.0)  # 1/theta overflows
+    assert not tiny.ok and tiny.reason == "theta too small: 1/theta overflows"
     assert not select_r_s(0.6, 2.0).ok  # theta > 1/delta_tilde
     too_small = select_r_s(0.2, 3.0)  # s=5 gives r=0
     assert not too_small.ok
@@ -185,6 +194,12 @@ def test_thm_main_requires_x_and_theta(cycle12):
 def test_thm_main_needs_finite_x_and_theta(cycle12, x, theta):
     with pytest.raises(GraphError, match="finite"):
         thm_checker(cycle12, "main", x=x, theta=theta)
+
+
+def test_thm_expander_size_floor_beyond_the_float_range(cycle12):
+    # 2 theta^{-c / (10 ln 2)} = 2e43280 overflows: no graph is that large
+    with pytest.raises(HypothesisViolatedError, match="graph_size"):
+        thm_checker(cycle12, "expander", x=2.5, theta=1e-300, c=1000.0)
 
 
 def test_thm_main_violated_tail_mass_raises(cycle12):

@@ -91,12 +91,14 @@ def test_impractical_theory_params_exit_2(tmp_path, monkeypatch, capsys):
          "--r", "1", "--s", "3", "--x-rule", "value", "--x", "1.9"],
         ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "nan",
          "--auto-rs"],
+        ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", "5e-324",
+         "--auto-rs"],
         ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "0"],
         ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "-1"],
         ["verify", "local-global", "--family", "cycle", "--n", "20", "--r-max", "0"],
     ],
     ids=["negative-u-size", "theta-grid-0", "thm-x-nan", "fp-x-nan", "fp-x-inf",
-         "fp-theta-1.5", "fp-theta-nan-auto-rs", "zero-trials", "negative-trials",
+         "fp-theta-1.5", "fp-theta-nan-auto-rs", "fp-theta-5e-324-auto-rs", "zero-trials", "negative-trials",
          "zero-radii"],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
@@ -110,6 +112,28 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, arg
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     assert shifts == []
+
+
+@pytest.mark.parametrize("theta, s, term", [("0.1", "600", "term_tail"),
+                                            ("0.5", "2000", "term_moment")])
+def test_finite_param_overflowing_term_is_inf(tmp_path, monkeypatch, theta, s, term):
+    # Delta^{2(s+2)} = 2^1204 and (1 - theta)^{-2s} = 2^4000 overflow
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "finite-param", "--family", "cycle", "--n", "30", "--theta", theta,
+            "--r", "1", "--s", s, "--out", "fp.csv"]
+    assert run(argv) == 0
+    header, row = (tmp_path / "fp.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells[term] == cells["rhs"] == "inf" and cells["ok"] == "true"
+
+
+def test_thm_expander_size_floor_overflow_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "thm", "--variant", "expander", "--family", "cycle", "--n", "12",
+            "--x", "2.5", "--theta", "1e-300", "--c", "1000", "--out", "thm.json"]
+    assert run(argv) == 2
+    assert "hypothesis 'graph_size' violated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +390,49 @@ def test_sweep_malformed_config_exits_2(tmp_path, monkeypatch, capsys, text):
     assert run(["sweep", "--config", "cfg.json"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "sweep-out").exists()
+
+
+@pytest.mark.parametrize(
+    "family, grid, name",
+    [
+        ({"family": "cycle", "n": 20}, {"r": 2.7}, "grid 'r'"),
+        ({"family": "cycle", "n": 20}, {"r": True}, "grid 'r'"),
+        ({"family": "cycle", "n": 20}, {"r": [[2]]}, "grid 'r'"),
+        ({"family": "cycle", "n": 20}, {"trials": 1.5, "r": 1}, "grid 'trials'"),
+        ({"family": "cycle", "n": 12.5}, {"r": 1}, "families entry 'n'"),
+        ({"family": "random-regular", "n": 20, "d": 3, "seed": 1.5}, {"r": 1},
+         "families entry 'seed'"),
+        ({"family": "torus-grid", "dims": [4]}, {"r": 1}, "families entry 'dims'"),
+        ({"family": "torus-grid", "dims": [4.5, 4]}, {"r": 1}, "families entry 'dims'"),
+        ({"family": "torus-grid", "dims": [4, 4, 4]}, {"r": 1}, "families entry 'dims'"),
+    ],
+    ids=["r-float", "r-bool", "r-nested-list", "trials-float", "n-float", "seed-float",
+         "dims-one", "dims-float", "dims-three"],
+)
+def test_sweep_value_the_flag_rejects_exits_2(tmp_path, monkeypatch, capsys, family, grid,
+                                              name):
+    # each value goes through its flag's type, as --r 2.7 or --dims 4 would
+    monkeypatch.chdir(tmp_path)
+    place(tmp_path / "cfg.json", json.dumps({"suite": "rad-drop", "families": [family],
+                                             "grid": grid}))
+    assert run(["sweep", "--config", "cfg.json"]) == 2
+    assert f"error: {name}: bad value" in capsys.readouterr().err
+    assert not (tmp_path / "sweep-out").exists()
+
+
+def test_sweep_families_entry_builds_the_graph_of_its_flags(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    place(tmp_path / "cfg.json", json.dumps({
+        "suite": "rad-drop", "seed": 3, "grid": {"trials": 2, "r": 1},
+        "families": [{"family": "torus-grid", "dims": [5, 4]},
+                     {"family": "torus-grid", "dims": "5x4"}],
+    }))
+    assert run(["sweep", "--config", "cfg.json"]) == 0
+    assert run(["verify", "rad-drop", "--family", "torus-grid", "--dims", "5,4", "--r", "1",
+                "--trials", "2", "--seed", "3", "--out", "rd.csv"]) == 0
+    swept = (tmp_path / "sweep-out" / "rad-drop.csv").read_text().splitlines()
+    verified = (tmp_path / "rd.csv").read_text().splitlines()
+    assert swept[1:] == ["torus-grid," + line for line in verified[1:] * 2]
 
 
 @pytest.mark.parametrize(

@@ -281,6 +281,9 @@ def test_is_s_separated_hand_cases(path7):
     assert not is_s_separated(path7, [0, 2], 3)
     assert is_s_separated(path7, [4], 99)
     assert is_s_separated(path7, [], 2)
+    for w in ([0, 9], [-1, 3], [7]):
+        with pytest.raises(VertexRangeError):
+            is_s_separated(path7, w, 2)
 
 
 def test_vertex_set_operations():

@@ -37,7 +37,6 @@ from spectop import (
     local_global_check,
     m_count,
     mu,
-    spectrum_to_csv,
     trace_power,
 )
 from spectop import spectral
@@ -401,9 +400,8 @@ def test_lambda1_balls_far_above_the_diameter(monkeypatch):
 
 
 def test_spectrum_csv_format(tmp_path, cycle12):
-    spec = eigenvalues(cycle12)
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, str(path))
+    assert main(["spectrum", "--family", "cycle", "--n", str(cycle12.n), "--out", str(path)]) == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == cycle12.n + 1

@@ -9,6 +9,7 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spectop.cli import main
 from spectop.families import FamilySpec, generate
 from spectop.graphs import GraphError, build_graph
 from spectop.walks import (
@@ -23,7 +24,6 @@ from spectop.walks import (
     moment_mass_upper,
     return_decay_roundtrip,
     return_probs_finite,
-    series_to_csv,
     tree_return_probs,
     tree_return_probs_exact,
 )
@@ -349,7 +349,7 @@ def test_roundtrip_rejects_theta_grid(grid):
 
 def test_series_csv_tree_layout(tmp_path):
     out = tmp_path / "tree.csv"
-    series_to_csv(tree_return_probs(4, 3), str(out))
+    assert main(["walks", "tree", "--d", "4", "--N", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "n,p_2n,scaled"
     assert lines[1] == "0,1,1"
@@ -360,8 +360,8 @@ def test_series_csv_tree_layout(tmp_path):
 
 def test_series_csv_finite_layout(tmp_path):
     out = tmp_path / "fin.csv"
-    g = generate(FamilySpec(family="cycle", n=6))
-    series_to_csv(return_probs_finite(g, 0, 4), str(out))
+    argv = ["walks", "finite", "--family", "cycle", "--n", "6", "--K", "4", "--out", str(out)]
+    assert main(argv) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "k,value"
     assert lines[1] == "0,1"
