@@ -32,7 +32,7 @@ from .graphs import (
     is_connected,
     is_r_net,
 )
-from .nets import NetResult, NotANetError
+from .nets import NetResult, NotANetError, _exp
 from .spectral import (
     TOL_EIG,
     InertiaCounts,
@@ -138,14 +138,6 @@ def finite_param_rhs(params: BoundParams) -> BoundTerms:
             tail = _exp(math.log(2.0 * params.delta_top) + 2 * (s + 2) * math.log(params.delta))
     net = 2.0 * params.eps_net
     return BoundTerms(moment=moment, tail=tail, net=net)
-
-
-def _exp(v: float) -> float:
-    """exp(v), inf above the float range."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -328,7 +320,10 @@ def thm_checker(
         except OverflowError:  # beyond any graph's size
             size_floor = math.inf
         hypotheses["graph_size"] = g.n >= size_floor * (1.0 - HYPOTHESIS_REL_TOL)
-        rate = theta ** (c / (40.0 * log_dt))
+        try:
+            rate = theta ** (c / (40.0 * log_dt))
+        except OverflowError:
+            rate = math.inf
     for name, passed in hypotheses.items():
         if not passed:
             raise HypothesisViolatedError(

@@ -717,10 +717,13 @@ class ExperimentConfig:
             raise GraphError(f"unknown config keys: {sorted(unknown)}")
         if "suite" not in obj:
             raise GraphError("config needs a 'suite' key")
+        seed = obj.get("seed", 0)
+        if type(seed) is not int:  # not bool, float, str or null
+            raise GraphError(f"the sweep seed must be an integer, got {seed!r}")
         try:
             cfg = cls(
                 suite=obj["suite"],
-                seed=int(obj.get("seed", 0)),
+                seed=seed,
                 families=tuple(obj.get("families", ())),
                 grid=dict(obj.get("grid", {})),
                 tolerances=dict(obj.get("tolerances", {})),

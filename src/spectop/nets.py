@@ -15,6 +15,7 @@ lambda1(G - W)^{2r} <= lambda1(G)^{2r} - w_min^{2r}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +214,8 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> DropReport
     ``w`` must be a verified r-net with matching radius; the covering
     property is re-checked here rather than trusted.  Vertices of W are
     deleted outright (the row-zeroing picture gives the same top eigenvalue,
-    up to extra zero eigenvalues).
+    up to extra zero eigenvalues). When a power leaves the float range, the
+    check is decided in logs and a side beyond the range is inf.
     """
     if r < 1:
         raise GraphError("drop check needs r >= 1")
@@ -224,8 +226,15 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> DropReport
     lam_g = lambda1(g)
     h, _ = delete_vertices(g, w.vertices)
     lam_h = lambda1(h) if h.n > 0 else 0.0
-    lhs = lam_h ** (2 * r)
-    rhs = lam_g ** (2 * r) - g.w_min ** (2 * r)
+    try:
+        lhs = lam_h ** (2 * r)
+        rhs = lam_g ** (2 * r) - g.w_min ** (2 * r)
+        ok = lhs <= rhs + DROP_CHECK_TOL
+    except OverflowError:
+        log_lhs = 2 * r * math.log(lam_h) if lam_h > 0 else -math.inf
+        removed = (g.w_min / lam_g) ** (2 * r)
+        log_rhs = 2 * r * math.log(lam_g) + (math.log1p(-removed) if removed < 1 else -math.inf)
+        lhs, rhs, ok = _exp(log_lhs), _exp(log_rhs), log_lhs <= log_rhs
     return DropReport(
         r=r,
         net_size=len(w.vertices),
@@ -233,5 +242,13 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> DropReport
         lam1_h=lam_h,
         lhs=lhs,
         rhs=rhs,
-        ok=lhs <= rhs + DROP_CHECK_TOL,
+        ok=ok,
     )
+
+
+def _exp(v: float) -> float:
+    """exp(v), inf above the float range."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf

@@ -59,15 +59,18 @@ LANCZOS_MAXITER = 100
 # (cycle n=256, torus 256x16); expanders sit above 0.1.
 SHIFT_INVERT_GAP = 1e-3
 
-# Ball tops (``lambda1_balls``): power iteration on the distinct balls side
-# by side, at most this total order per block-diagonal matrix, each ball
-# stopped once its Collatz-Wielandt bounds agree to this relative width, or
-# solved densely after this many steps. The bounds are tested on every
-# BALL_TEST_EVERY-th step only; the steps between are one sparse product each.
+# Ball tops (``lambda1_balls``): Chebyshev-filtered power iteration on the
+# distinct balls side by side, at most this total order per block-diagonal
+# matrix, each ball stopped once its Collatz-Wielandt bounds agree to this
+# relative width, or solved densely after this many sparse products. The
+# bounds are tested once per filter of BALL_FILTER_DEGREE products; the
+# filter damps the interval from minus the largest row sum to
+# BALL_FILTER_CUT of the way up to the Rayleigh quotient.
 BALL_CHUNK_ORDER = 5000
 BALL_CW_WIDTH = 1e-10
 BALL_POWER_BUDGET = 2000
-BALL_TEST_EVERY = 4
+BALL_FILTER_DEGREE = 8
+BALL_FILTER_CUT = 0.9
 
 
 class SolverCapError(GraphError):
@@ -448,58 +451,68 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
     """The top eigenvalue of each diagonal block of ``a``, from below.
 
     ``a`` is symmetric, nonnegative and block diagonal with irreducible
-    blocks starting at rows ``starts``. Power iteration on ``a + I`` from
-    the ones vector. For positive x, both the Collatz-Wielandt minimum
-    min(Ax/x) and the Rayleigh quotient x'Ax / x'x are <= lambda1 <=
-    max(Ax/x). These bounds are tested on every ``BALL_TEST_EVERY``-th step
-    (steps 0, 4, 8, ...), which also normalizes x per block; a block's
-    value is the larger lower bound at the first test where its
-    Collatz-Wielandt bounds agree to ``BALL_CW_WIDTH`` relative. Every
-    other step is one sparse product with S(a + I), where S scales each
-    block by a power of two at most 1 / (its largest row sum of a + I).
-    That scaling is exact, so x keeps its direction; it keeps x at most 1
-    for any positive weights, and a block's largest entry shrinks by at
-    most a factor 2m per step (m the block's order), so the steps between
-    tests cannot underflow it. Like every other operation here, it acts on
-    each block alone, so the values do not depend on which blocks share
-    ``a``. A block still open after ``BALL_POWER_BUDGET`` steps gets the
-    dense top-only solve of ``lambda1`` (``_dense_top``) up to order
-    ``DEFAULT_SOLVER_CAP`` and raises :class:`SolverBudgetError` above it.
+    blocks starting at rows ``starts``. Chebyshev-filtered power iteration
+    from the ones vector. For strictly positive x, both the
+    Collatz-Wielandt minimum min(Ax/x) and the Rayleigh quotient
+    rho = x'Ax / x'x are <= lambda1 <= max(Ax/x). Each filter starts with a
+    test of these bounds on y = Ax; a block's value is the larger lower
+    bound at the first test where its x is strictly positive and its
+    Collatz-Wielandt bounds agree to ``BALL_CW_WIDTH`` relative.
+
+    The filter applies T_m((a - c) / e), the degree-m Chebyshev polynomial
+    (m = ``BALL_FILTER_DEGREE``) on the block's interval
+    [lo, b] = [c - e, c + e], by the three-term recurrence, whose first
+    product is the test's y; then it scales each block to max |x| = 1.
+    lo = -(the block's largest row sum) <= lambda_min, and
+    b = lo + theta (max(rho, 0) - lo) < lambda1 (theta =
+    ``BALL_FILTER_CUT``). T_m is at most 1 in size on [lo, b] and grows
+    fastest at lambda1, so the Perron component keeps its positive sign and
+    gains on every other one, and a block is tested every m products.
+    lambda1 - lo <= -2 lo and e >= -theta lo / 2, so between tests the
+    iterates grow by at most T_m(4 / theta - 1) sqrt(order), about
+    2e6 sqrt(order): row sums up to about 1e290 cannot overflow. Like every
+    other operation here, the filter acts on each block alone, so the
+    values do not depend on which blocks share ``a``. A block still open
+    after ``BALL_POWER_BUDGET`` products gets the dense top-only solve of
+    ``lambda1`` (``_dense_top``) up to order ``DEFAULT_SOLVER_CAP`` and
+    raises :class:`SolverBudgetError` above it.
     """
     sizes = np.diff(np.append(starts, a.shape[0]))
-    step_matrix = a + sp.identity(a.shape[0], format="csr")
-    # every row holds its diagonal entry, so reduceat reads no empty row
-    row_sums = np.add.reduceat(step_matrix.data, step_matrix.indptr[:-1])
-    scale = np.ldexp(1.0, -np.frexp(np.maximum.reduceat(row_sums, starts))[1])
-    step_matrix.data *= scale.repeat(sizes).repeat(np.diff(step_matrix.indptr))
     tops = np.empty(len(starts))
     todo = np.ones(len(starts), dtype=bool)
     x = np.ones(a.shape[0])
-    for step in range(BALL_POWER_BUDGET):
-        if step % BALL_TEST_EVERY:
-            x = step_matrix @ x
-            continue
-        y = a @ x
-        q = y / x
+    y = a @ x
+    # x = 1: y holds the row sums
+    lo = -np.maximum.reduceat(y, starts)
+    for _ in range(0, BALL_POWER_BUDGET, BALL_FILTER_DEGREE):
+        # inf where x is not positive, so such a block cannot settle
+        q = np.divide(y, x, out=np.full_like(y, np.inf), where=x > 0)
         q_min = np.minimum.reduceat(q, starts)
         q_max = np.maximum.reduceat(q, starts)
-        done = todo & (q_max - q_min <= BALL_CW_WIDTH * q_max)
-        if done.any():
-            rayleigh = np.add.reduceat(x * y, starts) / np.add.reduceat(x * x, starts)
-            tops[done] = np.maximum(q_min, rayleigh)[done]
-            todo &= ~done
-            if not todo.any():
-                return tops
-        x += y
-        x /= np.maximum.reduceat(x, starts).repeat(sizes)
+        rayleigh = np.add.reduceat(x * y, starts) / np.add.reduceat(x * x, starts)
+        done = todo & (q_max < np.inf) & (q_max - q_min <= BALL_CW_WIDTH * q_max)
+        tops[done] = np.maximum(q_min, rayleigh)[done]
+        todo &= ~done
+        if not todo.any():
+            return tops
+        # T_k of (a - c) / e, where [lo, b] = [c - e, c + e]
+        e = 0.5 * BALL_FILTER_CUT * (np.maximum(rayleigh, 0.0) - lo)
+        e[e == 0] = 1.0  # an edgeless vertex, settled at the first test
+        c = (lo + e).repeat(sizes)
+        slope = (2.0 / e).repeat(sizes)
+        prev, x = x, 0.5 * slope * (y - c * x)
+        for _ in range(BALL_FILTER_DEGREE - 1):
+            prev, x = x, slope * (a @ x - c * x) - prev
+        x /= np.maximum.reduceat(np.abs(x), starts).repeat(sizes)
+        y = a @ x
     for b in np.flatnonzero(todo).tolist():
-        lo, hi = starts[b], starts[b] + sizes[b]
-        if hi - lo > DEFAULT_SOLVER_CAP:
+        begin, end = starts[b], starts[b] + sizes[b]
+        if sizes[b] > DEFAULT_SOLVER_CAP:
             raise SolverBudgetError(
                 f"power iteration did not settle the top eigenvalue of an "
-                f"order-{hi - lo} ball within {BALL_POWER_BUDGET} steps"
+                f"order-{sizes[b]} ball within {BALL_POWER_BUDGET} products"
             )
-        tops[b] = _dense_top(a[lo:hi, lo:hi].toarray())
+        tops[b] = _dense_top(a[begin:end, begin:end].toarray())
     return tops
 
 
@@ -511,9 +524,10 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     by side in block-diagonal matrices of total order about
     ``BALL_CHUNK_ORDER`` and go through :func:`_power_tops` together, so
     each value is a lower bound on the ball's lambda1 up to rounding,
-    certified by a Collatz-Wielandt test on every ``BALL_TEST_EVERY``-th
-    power step. Each ball's arithmetic is its own, so the values do not
-    depend on ``BALL_CHUNK_ORDER``.
+    certified by a Collatz-Wielandt test on a strictly positive iterate of
+    a Chebyshev-filtered power iteration, one test per
+    ``BALL_FILTER_DEGREE`` sparse products. Each ball's arithmetic is its
+    own, so the values do not depend on ``BALL_CHUNK_ORDER``.
     """
     if r < 0:
         raise GraphError("radius must be nonnegative")

@@ -202,6 +202,13 @@ def test_thm_expander_size_floor_beyond_the_float_range(cycle12):
         thm_checker(cycle12, "expander", x=2.5, theta=1e-300, c=1000.0)
 
 
+def test_thm_expander_rate_beyond_the_float_range(cycle12):
+    # theta^{c / (40 ln 2)} = 1e300^36 overflows: the rate is inf and the
+    # implied constant is written as 0, as for the main variant at theta = 1
+    rep = thm_checker(cycle12, "expander", x=2.5, theta=1e300, c=1000.0)
+    assert rep.rate == math.inf and rep.implied_constant == 0.0
+
+
 def test_thm_main_violated_tail_mass_raises(cycle12):
     # x = 0 leaves far too much mass above, naming the failed hypothesis
     with pytest.raises(HypothesisViolatedError, match="tail_mass"):

@@ -136,6 +136,25 @@ def test_thm_expander_size_floor_overflow_exits_2(tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rad_drop_overflowing_power_is_inf(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "rad-drop", "--family", "cycle", "--n", "30", "--r", "600",
+            "--out", "rd.csv"]
+    assert run(argv) == 0
+    header, row = (tmp_path / "rd.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["lhs"] == cells["rhs"] == "inf" and cells["ok"] == "true"
+
+
+def test_thm_expander_rate_overflow_is_inf(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "thm", "--variant", "expander", "--family", "cycle", "--n", "12",
+            "--x", "2.5", "--theta", "1e300", "--c", "1000", "--out", "thm.json"]
+    assert run(argv) == 0
+    rep = json.loads((tmp_path / "thm.json").read_text())
+    assert rep["rate"] == math.inf and rep["implied_constant"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -417,6 +436,14 @@ def test_sweep_value_the_flag_rejects_exits_2(tmp_path, monkeypatch, capsys, fam
                                              "grid": grid}))
     assert run(["sweep", "--config", "cfg.json"]) == 2
     assert f"error: {name}: bad value" in capsys.readouterr().err
+    assert not (tmp_path / "sweep-out").exists()
+
+
+@pytest.mark.parametrize("seed", [2.7, 3.0, True, None, "3"])
+def test_sweep_seed_that_is_not_an_integer_exits_2(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--config", sweep_config(tmp_path, seed=seed)]) == 2
+    assert "error: the sweep seed must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "sweep-out").exists()
 
 

@@ -209,6 +209,19 @@ def test_drop_check_empty_remainder():
     assert rep.ok
 
 
+@pytest.mark.parametrize("r, lhs_finite", [(513, True), (600, False)])
+def test_drop_check_beyond_the_float_range(r, lhs_finite):
+    # lambda1(G)^{2r} = 2^{2r} overflows at 2r >= 1024; lambda1(H) = 1.989...
+    # to the power 1026 is about 1e306 and to 1200 about 1e358
+    g = generate(FamilySpec("cycle", n=30))
+    net = greedy_tree_net(g, r)
+    rep = net_removal_drop_check(g, net, r)
+    assert rep.rhs == math.inf and rep.ok
+    assert math.isfinite(rep.lhs) == lhs_finite
+    if lhs_finite:
+        assert rep.lhs == pytest.approx(rep.lam1_h ** (2 * r), rel=1e-12)
+
+
 def test_drop_check_rejects_r_zero():
     g = generate(FamilySpec("cycle", n=5))
     net = greedy_tree_net(g, 0)

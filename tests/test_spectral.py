@@ -345,6 +345,74 @@ def test_lambda1_balls_with_huge_weights(r):
     assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
 
 
+def two_cliques_and_a_tail():
+    # K5 and a K5 of weight 1 + 1e-7, joined by one edge of weight 1e-6: the
+    # top two eigenvalues of their union lie about 6e-7 apart. The unit path
+    # 9-10-11 keeps that union a ball of radius 2 and 3 but not the whole graph.
+    edges = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
+    edges += [(u, v, 1.0 + 1e-7) for u in range(5, 10) for v in range(u + 1, 10)]
+    edges += [(4, 5, 1e-6), (9, 10, 1.0), (10, 11, 1.0)]
+    return build_graph(12, edges)
+
+
+def assert_tops_match_dense(g, r):
+    tops = lambda1_balls(g, r)
+    dense = dense_ball_tops(g, r)
+    assert np.all(tops <= dense * (1 + 1e-14))
+    assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_lambda1_balls_with_a_near_degenerate_top_gap(r):
+    assert_tops_match_dense(two_cliques_and_a_tail(), r)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", range(4))
+def test_lambda1_balls_of_an_edgeless_vertex(r):
+    # vertex 3's ball is one vertex without an edge: its filter interval is a point
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 2.0)])
+    assert_tops_match_dense(g, r)
+    assert lambda1_balls(g, r)[3] == 0.0
+
+
+def test_lambda1_balls_never_settle_a_sign_changing_iterate(monkeypatch):
+    # with the cut at the Rayleigh quotient itself, every eigenvalue between
+    # it and lambda1 is amplified too, and the iterates change sign
+    monkeypatch.setattr(spectral, "BALL_FILTER_CUT", 1.0)
+    divide = np.divide
+    signs_changed = []
+
+    def spy(*args, where=True, **kwargs):
+        signs_changed.append(not np.all(where))
+        return divide(*args, where=where, **kwargs)
+
+    monkeypatch.setattr(np, "divide", spy)
+    graphs = [two_cliques_and_a_tail(), generate(FamilySpec("random-regular", n=60, d=4, seed=7)),
+              generate(FamilySpec("path", n=30))]
+    graphs += [random_connected_graph(seed, n_min=15, n_max=30, weighted=True) for seed in range(8)]
+    for g in graphs:
+        for r in range(1, 5):
+            assert_tops_match_dense(g, r)
+    assert any(signs_changed)
+
+
+def test_lambda1_balls_vector_product_count(monkeypatch):
+    g = generate(FamilySpec("random-regular", n=300, d=4, seed=103))
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def counted(a, b):
+        if isinstance(b, np.ndarray):
+            products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    lambda1_balls(g, 4)
+    # plain power iteration on B + I, tested on every 4th product, made 2596
+    assert len(products) <= 1328
+
+
 def test_lambda1_balls_do_not_depend_on_the_chunking(monkeypatch):
     g = random_connected_graph(3, n_min=20, n_max=40, weighted=True)
     rr = generate(FamilySpec("random-regular", n=60, d=4, seed=101))
