@@ -174,8 +174,10 @@ def voronoi_assign(
 
 def _voronoi_forest(
     g: WeightedGraph, captains: VertexSet, labels: LocalLabels, R: int
-) -> tuple[CellAssignment, np.ndarray, list[np.ndarray]]:
-    """``voronoi_assign`` plus each cell's BFS tree (``parent``, ``layers``).
+) -> tuple[CellAssignment, np.ndarray, list[np.ndarray], sp.csr_matrix]:
+    """``voronoi_assign`` plus each cell's BFS tree (``parent``, ``layers``)
+    and the intra-cell edges (``_intra_cell``) that the connectivity check
+    ran on.
 
     Each queue layer is sorted by captain (label, id), so a vertex's parent,
     its first-queued neighbour one layer closer, has the tie-break's captain.
@@ -189,8 +191,9 @@ def _voronoi_forest(
     for d, layer in enumerate(layers):
         assignment[layer] = assignment[parent[layer]] if d else layer
     cells = CellAssignment(captains, assignment, R)
-    _verify_cells_connected(g, cells)
-    return cells, parent, layers
+    intra = _intra_cell(g, assignment)
+    _verify_cells_connected(intra, cells)
+    return cells, parent, layers, intra
 
 
 def _intra_cell(g: WeightedGraph, a: np.ndarray) -> sp.csr_matrix:
@@ -199,11 +202,11 @@ def _intra_cell(g: WeightedGraph, a: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((weights, indices, indptr), shape=(g.n, g.n))
 
 
-def _verify_cells_connected(g: WeightedGraph, cells: CellAssignment) -> None:
-    """Every assigned vertex lies in its captain's component of the graph of
-    intra-cell edges (u ~ v with ``assignment[u] == assignment[v] >= 0``)."""
+def _verify_cells_connected(intra: sp.csr_matrix, cells: CellAssignment) -> None:
+    """Every assigned vertex lies in its captain's component of ``intra``,
+    the graph of intra-cell edges (``_intra_cell`` of the assignment)."""
     a = cells.assignment
-    _, comp = sp.csgraph.connected_components(_intra_cell(g, a), directed=False)
+    _, comp = sp.csgraph.connected_components(intra, directed=False)
     assigned = np.flatnonzero(a >= 0)
     orphans = assigned[comp[assigned] != comp[a[assigned]]]
     if len(orphans):
@@ -259,9 +262,8 @@ def local_net(
     if r < 1:
         raise GraphError("net radius must be >= 1")
     captains = elect_captains(g, labels, p)
-    cells, parent, layers = _voronoi_forest(g, captains, labels, R)
-    a = cells.assignment
-    members = _tree_net(_intra_cell(g, a), parent, layers, r) | (a < 0)
+    cells, parent, layers, intra = _voronoi_forest(g, captains, labels, R)
+    members = _tree_net(intra, parent, layers, r) | (cells.assignment < 0)
     net = _finish(g, "local-captain", r, members)
     return LocalNetRun(net=net, cells=cells, labels=labels, p=p, R=R, r=r)
 

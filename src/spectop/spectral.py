@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -292,12 +293,18 @@ class InertiaCounts:
     def __init__(self, g: WeightedGraph) -> None:
         self.g = g
         self.n = g.n
-        # per shift: the count and the last inverse-iteration vector, or None
-        self._below: dict[float, tuple[int, np.ndarray] | None] = {}
+        # per shift: the count and the last inverse-iteration vector (None
+        # beyond the row-sum bound, where nothing is factored), or None
+        self._below: dict[float, tuple[int, np.ndarray | None] | None] = {}
         self._spectrum: Spectrum | None = None
         # the shared ordering q and A[q][:, q], set by the first factorization
         self._order: np.ndarray | None = None
         self._permuted: sp.csr_matrix | None = None
+
+    @cached_property
+    def _largest_row_sum(self) -> float:
+        """B, the largest row sum; with positive weights every |lambda| <= B."""
+        return float(np.asarray(self.g.csr.sum(axis=1)).max(initial=0.0))
 
     def _dense(self) -> Spectrum:
         if self._spectrum is None:
@@ -358,10 +365,16 @@ class InertiaCounts:
         """Number of eigenvalues < sigma (<= sigma when ``inclusive``).
 
         A factorization without a zero pivot means sigma is no eigenvalue,
-        so the two counts agree.
+        so the two counts agree. A shift strictly outside [-B, B], B the
+        largest row sum, is no eigenvalue either and needs no factorization:
+        the count is 0 below -B and n above B.
         """
         if sigma not in self._below:
-            self._below[sigma] = self._negative_pivots(sigma)
+            # n eps covers the rounding of the row sums and of this product
+            if abs(sigma) > self._largest_row_sum * (1.0 + self.n * np.finfo(np.float64).eps):
+                self._below[sigma] = (0 if sigma < 0 else self.n), None
+            else:
+                self._below[sigma] = self._negative_pivots(sigma)
         entry = self._below[sigma]
         if entry is None:
             return self._dense().below(sigma, inclusive)
@@ -403,7 +416,8 @@ class InertiaCounts:
         if above > k - 1:
             return False
         entry = self._below[hi]
-        if above == k - 1 and entry is not None and self._encloses(entry[1], lo, hi):
+        vector = None if entry is None else entry[1]
+        if above == k - 1 and vector is not None and self._encloses(vector, lo, hi):
             return True
         return self.below(lo) <= self.n - k
 
@@ -418,7 +432,7 @@ class InertiaCounts:
             return 0.0
         if self._spectrum is None and k < self.n - 1:
             a = self.g.csr
-            bound = float(a.sum(axis=1).max())  # >= lambda_1; weights are positive
+            bound = self._largest_row_sum
             shifts = [{}, {"sigma": bound + 1e-6 * max(bound, 1.0)}]
             if _top_gap_bound(a, bound) < SHIFT_INVERT_GAP * bound:
                 shifts.reverse()

@@ -202,6 +202,7 @@ def test_thm_expander_size_floor_beyond_the_float_range(cycle12):
         thm_checker(cycle12, "expander", x=2.5, theta=1e-300, c=1000.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_thm_expander_rate_beyond_the_float_range(cycle12):
     # theta^{c / (40 ln 2)} = 1e300^36 overflows: the rate is inf and the
     # implied constant is written as 0, as for the main variant at theta = 1

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectop import (
@@ -30,7 +31,8 @@ from spectop import (
     read_graph,
     write_graph,
 )
-from spectop.graphs import UNREACHABLE, GraphError
+from spectop import graphs as graphs_module
+from spectop.graphs import UNREACHABLE, GraphError, _induced_arrays
 
 from conftest import graphs, random_connected_graph
 
@@ -233,6 +235,43 @@ def test_delete_vertices_is_the_induced_subgraph_on_the_complement(g, data):
     assert (h.n, h.w_min, h.w_max, h.delta) == (sub.n, sub.w_min, sub.w_max, sub.delta)
     for a, b in [(h.indptr, sub.indptr), (h.indices, sub.indices), (h.weights, sub.weights)]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def block_diagonal_reference(g, sets):
+    """CSR arrays of the induced subgraphs on ``sets``, side by side, each
+    block read off ``induced_subgraph`` and checked against the dense matrix."""
+    indptr, indices, weights, start = [0], [], [], 0
+    dense = g.dense()
+    for s in sets:
+        sub, vmap = induced_subgraph(g, s)
+        assert np.array_equal(sub.dense(), dense[np.ix_(vmap, vmap)])
+        indptr.extend((indptr[-1] + sub.indptr[1:]).tolist())
+        indices.extend((sub.indices + start).tolist())
+        weights.extend(sub.weights.tolist())
+        start += sub.n
+    return indptr, indices, weights
+
+
+@given(g=graphs, sets=st.lists(st.sets(st.integers(0, 15)), max_size=6))
+@example(g=build_graph(0, []), sets=[])
+@example(g=build_graph(3, []), sets=[set(), {1}, {0, 2}])  # edgeless, no ids in one block
+@example(g=build_graph(4, [(0, 1, 1.0), (1, 2, 2.0)]), sets=[{3}, {0}, {0, 1, 3}, {1, 2}])
+def test_induced_arrays_match_induced_subgraphs_block_by_block(g, sets):
+    # vertex sets that overlap, are empty or hold one vertex, on graphs with
+    # edgeless vertices; the direct table and the sorted search both run
+    sets = [sorted(v for v in s if v < g.n) for s in sets]
+    ids = np.array([v for s in sets for v in s], dtype=np.int64)
+    block = np.arange(len(sets)).repeat([len(s) for s in sets])
+    expected = block_diagonal_reference(g, sets)
+    for slots in (0, 2**62):  # the table never (except when empty) and always
+        with mock.patch.object(graphs_module, "INDUCED_TABLE_SLOTS", slots):
+            got = _induced_arrays(g, ids, block)
+        for a, b in zip(got, expected):
+            assert a.tolist() == b
+        if len(sets) == 1:
+            with mock.patch.object(graphs_module, "INDUCED_TABLE_SLOTS", slots):
+                alone = _induced_arrays(g, ids)
+            assert all(np.array_equal(a, b) for a, b in zip(alone, got))
 
 
 @pytest.mark.parametrize("gone", [[7, -1, 2, 2], [-1], [6], [2, 6]])

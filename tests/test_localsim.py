@@ -29,7 +29,7 @@ from spectop import (
     voronoi_assign,
 )
 from spectop.graphs import VertexSet, distances
-from spectop.localsim import CellAssignment, CellConnectivityError, _verify_cells_connected
+from spectop.localsim import CellAssignment, CellConnectivityError, _intra_cell, _verify_cells_connected
 from spectop.rng import keyed_uniform, rng_for
 
 from conftest import random_connected_graph
@@ -147,6 +147,11 @@ def _hand_cells(cells: dict[int, list[int]]) -> CellAssignment:
     return CellAssignment(VertexSet.of(cells, 12), a, R=6)
 
 
+def _verify_hand_cells(g, cells: dict[int, list[int]]) -> None:
+    hand = _hand_cells(cells)
+    _verify_cells_connected(_intra_cell(g, hand.assignment), hand)
+
+
 @pytest.mark.parametrize(
     "cells, captain, orphan",
     [
@@ -159,11 +164,11 @@ def _hand_cells(cells: dict[int, list[int]]) -> CellAssignment:
 )
 def test_disconnected_cell_names_captain_and_smallest_orphan(cycle12, cells, captain, orphan):
     with pytest.raises(CellConnectivityError, match=rf"captain {captain} .* vertex {orphan} "):
-        _verify_cells_connected(cycle12, _hand_cells(cells))
+        _verify_hand_cells(cycle12, cells)
 
 
 def test_connected_cells_with_unassigned_vertices_pass(cycle12):
-    _verify_cells_connected(cycle12, _hand_cells({0: [11, 0, 1], 6: [5, 6, 7]}))
+    _verify_hand_cells(cycle12, {0: [11, 0, 1], 6: [5, 6, 7]})
 
 
 def reference_voronoi_assign(g, captains, labels, R):

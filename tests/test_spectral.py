@@ -40,7 +40,8 @@ from spectop import (
     trace_power,
 )
 from spectop import spectral
-from spectop.cli import EN_ROUTE_THETA_CAP, _second_eig, graph_provider, main
+from spectop.bounds import thm_checker
+from spectop.cli import EN_ROUTE_THETA_CAP, _second_eig, en_route_finite_param, graph_provider, main
 from spectop.rng import rng_for, trial_seed
 from spectop.spectral import TOL_EIG
 
@@ -288,6 +289,20 @@ def test_trace_power_of_a_long_cycle_stays_sparse():
     assert value == 4096 * math.comb(8, 4)
     # the dense route holds n x n arrays of 134 MB
     assert peak < 16 * 2**20
+
+
+def test_lambda1_balls_of_a_long_cycle_stay_small():
+    # 65536 order-3 balls, about 1666 to a block-diagonal chunk; a position
+    # table of (balls in the chunk) x n slots would hold 873 MB per chunk
+    g = generate(FamilySpec("cycle", n=65536))
+    tracemalloc.start()
+    try:
+        tops = lambda1_balls(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.abs(tops - math.sqrt(2.0)) <= 1e-12)
+    assert peak < 32 * 2**20  # 19 MB measured
 
 
 def test_local_global_equality_on_c4():
@@ -644,11 +659,10 @@ def test_the_top_gap_bound_holds(g):
     assert spectral._top_gap_bound(g.csr, bound) >= vals[-1] - vals[-2] - 1e-9 * bound
 
 
-@pytest.mark.parametrize("fam", [CYCLE, RR4], ids=["cycle", "random-regular"])
-def test_second_eig_row_orders_once_and_factors_three_times(fam, monkeypatch):
-    """x + TOL_EIG's count and its vector certify lambda_2; the row then
-    needs the two window counts, each in the first factorization's order."""
-    g, seed = sweep_row_graph(fam, 512)
+def second_eig_factorizations(fam, n, monkeypatch):
+    """The row of the criterion 11 sweep, and the ordering and fill of each
+    factorization it made."""
+    g, seed = sweep_row_graph(fam, n)
     real_splu = scipy.sparse.linalg.splu
     orderings, sizes = [], []
 
@@ -659,9 +673,67 @@ def test_second_eig_row_orders_once_and_factors_three_times(fam, monkeypatch):
         return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
-    _second_eig(g, seed, argparse.Namespace())
+    return g, _second_eig(g, seed, argparse.Namespace())[0], orderings, sizes
+
+
+@pytest.mark.parametrize("fam", [CYCLE], ids=["cycle"])
+def test_second_eig_row_orders_once_and_factors_three_times(fam, monkeypatch):
+    """x + TOL_EIG's count and its vector certify lambda_2; the row then
+    needs the two window counts, each in the first factorization's order."""
+    _, _, orderings, sizes = second_eig_factorizations(fam, 512, monkeypatch)
     assert orderings == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
     assert sizes == [sizes[0]] * 3  # the shared order keeps the first one's fill
+
+
+@pytest.mark.parametrize("n, lhs, fp_lhs", [(256, 255 / 256, 114 / 256), (512, 511 / 512, 230 / 512)],
+                         ids=["rr4-256", "rr4-512"])
+def test_second_eig_row_counts_below_minus_b_without_a_factorization(n, lhs, fp_lhs, monkeypatch):
+    """theta >= 1 puts the theorem window's lower end (1 - theta) x - TOL_EIG
+    (about -5.07 and -4.21) below -B = -4, where the count is 0 with no
+    factorization; the en-route window's count is factored as before. The
+    row's counts are the dense spectrum's, as before this rule."""
+    g, row, orderings, sizes = second_eig_factorizations(RR4, n, monkeypatch)
+    x, theta = row["x"], row["theta"]
+    assert (1.0 - theta) * x - TOL_EIG < -4.0
+    assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert sizes == [sizes[0]] * 2
+    assert (row["lhs"], row["fp_lhs"]) == (lhs, fp_lhs)
+    dense = eigenvalues(g, compute_residual=False)
+    assert row["lhs"] == thm_checker(g, "second-eig", spectrum=dense).lhs
+    assert row["fp_lhs"] == en_route_finite_param(g, dense, x, theta)[3].lhs
+
+
+@pytest.mark.filterwarnings("error")
+def test_counts_beyond_the_row_sum_bound_factor_nothing(monkeypatch):
+    # B = 2 on the cycle: shifts strictly beyond +-B are counted 0 and n
+    g = generate(FamilySpec("cycle", n=12))
+    counts = InertiaCounts(g)
+    # -2 and 2 are eigenvalues: shifts at +-B go to the factorization, which
+    # refuses them, and so get the dense spectrum's counts
+    spec = eigenvalues(g, compute_residual=False)
+    for sigma in (-2.0, 2.0):
+        for inclusive in (False, True):
+            assert counts.below(sigma, inclusive) == spec.below(sigma, inclusive)
+        assert counts._below[sigma] is None
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", None)
+    for sigma in (-2.5e300, -2.0 - 1e-9, np.nextafter(-2.0 * (1 + 12 * np.finfo(float).eps), -np.inf)):
+        assert counts.below(sigma) == counts.below(sigma, inclusive=True) == 0
+    for sigma in (2.0 + 1e-9, 1e300, math.inf):
+        assert counts.below(sigma) == counts.below(sigma, inclusive=True) == 12
+    assert all(entry is None or entry[1] is None for entry in counts._below.values())
+
+
+def test_top_certified_from_a_count_beyond_the_row_sum_bound():
+    # K_12 with one edge 1e-9 heavier: lambda_1 is 8e-10 below B = 11 + 1e-9,
+    # so the count at x + TOL_EIG is n with no vector to enclose lambda_1;
+    # the count at x - TOL_EIG, factored, certifies it instead
+    edges = [(u, v, 1.0 + 1e-9 * ((u, v) == (0, 1))) for u in range(12) for v in range(u + 1, 12)]
+    g = build_graph(12, edges)
+    counts = InertiaCounts(g)
+    x = counts.top(1)
+    assert abs(x - eigenvalues(g, compute_residual=False).top(1)) <= TOL_EIG
+    assert counts._below[x + TOL_EIG] == (12, None)
+    assert counts._below[x - TOL_EIG][0] == 11
 
 
 def test_two_counts_certify_lambda2_next_to_lambda1():
