@@ -73,6 +73,22 @@ BALL_POWER_BUDGET = 2000
 BALL_FILTER_DEGREE = 8
 BALL_FILTER_CUT = 0.9
 
+# Block elimination of later shifts (``InertiaCounts``). The head of the
+# shared elimination order is its longest prefix whose induced components
+# have at most HEAD_BLOCK vertices; the tail is the rest. When the tail has
+# TAIL_MIN to DEFAULT_SOLVER_CAP vertices and the first factorization filled
+# at least TAIL_FILL of its lower triangle, a later shift factors the head
+# blocks densely and the tail's Schur complement with LAPACK's blocked
+# Bunch-Kaufman (``InertiaCounts._block_pivots``). Per shift, on
+# random-regular graphs (one BLAS thread, medians of 15): d=4 n=4096, tail
+# 1452, 0.09 s against SuperLU's 0.27 s; n=2048, tail 724, 0.040 against
+# 0.064 s; tails of 479-534 (d=3..6) took as long as SuperLU. Torus tails
+# of 1010-1150 (60x60, 64x64) are 13-14% filled, and SuperLU took 0.02 s
+# there against 0.06 s for the dense route; expander tails are 80-95% filled.
+HEAD_BLOCK = 48
+TAIL_MIN = 600
+TAIL_FILL = 0.5
+
 
 class SolverCapError(GraphError):
     """Graph exceeds the dense-eigensolver size cap."""
@@ -99,7 +115,11 @@ class Spectrum:
         return len(self.values)
 
     def below(self, sigma: float, inclusive: bool = False) -> int:
-        """Number of eigenvalues < sigma (<= sigma when ``inclusive``)."""
+        """Number of computed eigenvalues < sigma (<= sigma when
+        ``inclusive``). Each computed value is off by rounding, so at or
+        near an exact eigenvalue the two counts can be one off either way:
+        on cycle n = 12 the eigenvalue 2 can be computed just above 2.
+        """
         side = "right" if inclusive else "left"
         return int(np.searchsorted(self.values, sigma, side=side))
 
@@ -212,19 +232,23 @@ def _top_gap_bound(a: sp.csr_matrix, bound: float) -> float:
     """An upper bound on lambda_1 - lambda_2 of the symmetric ``a``, whose
     top eigenvalue is at most ``bound``.
 
-    By Courant-Fischer, lambda_2 is at least the smaller Ritz value mu_2 of
-    ``a`` on any 2-dimensional subspace; here the span of the ones vector
-    and f, the hop distance from the vertex farthest from vertex 0 (a double
-    sweep; -1 off its component). f is not constant when n >= 2.
+    By Courant-Fischer, lambda_2 is at least the second largest Ritz value
+    mu_2 of ``a`` on any subspace; here the span of 1, f, f^2 and f^3, with
+    f the hop distance from the vertex farthest from vertex 0 (a double
+    sweep; -1 off its component), scaled to at most 1. f is not constant
+    when n >= 2. The cubic matters on paths, where lambda_2's eigenvector is
+    odd about the middle and vanishes at both ends: in the span of 1, f and
+    f^2 the only odd vector is linear, and B - mu_2 stays at 6/n against a
+    true gap of about 3 pi^2 / n^2.
     """
     n = a.shape[0]
     far = int(sp.csgraph.breadth_first_order(a, 0, return_predecessors=False)[-1])
     hops = sp.csgraph.shortest_path(a, method="D", unweighted=True, indices=far)
     f = np.where(np.isfinite(hops), hops, -1.0)
-    f -= f.mean()
-    basis = np.stack([np.full(n, 1.0 / math.sqrt(n)), f / np.linalg.norm(f)], axis=1)
+    f /= max(f.max(), 1.0)
+    basis = np.linalg.qr(np.stack([np.ones(n), f, f * f, f * f * f], axis=1))[0]
     ritz = np.linalg.eigvalsh(basis.T @ (a @ basis))
-    return bound - float(ritz[0])
+    return bound - float(ritz[-2])
 
 
 def _constant_row_sum(g: WeightedGraph) -> float | None:
@@ -264,6 +288,95 @@ def _dense_top(a: np.ndarray) -> float:
     return float(w[0])
 
 
+@dataclass(frozen=True)
+class _HeadTail:
+    """A symmetric order of A that puts small components first.
+
+    ``order[:h]`` are the head blocks, components of the head's induced
+    subgraph laid out contiguously and grouped by order; ``order[h:]`` is
+    the tail. Each group is (its block order s, the blocks' dense matrices
+    (blocks, s, s), each block's largest absolute row sum, and each block's
+    sum of squared weights into the tail). ``indptr`` and ``indices`` are
+    the CSR pattern of the block-diagonal head.
+    """
+
+    order: np.ndarray
+    h: int
+    groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    head_tail: sp.csr_matrix  # A_FT, h x m
+    tail_head: sp.csr_matrix  # A_TF, m x h
+    tail: sp.csr_matrix  # A_TT, m x m
+
+
+def _head_tail(permuted: sp.csr_matrix, order: np.ndarray, fill: np.ndarray) -> _HeadTail | None:
+    """The head/tail split of the elimination order ``order`` of A, given
+    ``permuted`` = A[order][:, order] and the entries ``fill[k]`` in column
+    k of its factor L. None when n is at most ``TAIL_MIN``, when the tail
+    has fewer than ``TAIL_MIN`` or more than ``DEFAULT_SOLVER_CAP``
+    vertices, or when L holds less than ``TAIL_FILL`` of a dense lower
+    triangle in the tail's columns (a sparse tail, as on tori, where
+    SuperLU is faster).
+
+    Growing a prefix only merges its components, so the head's length is
+    found by bisection, after testing the two lengths that bound it. The
+    last ``TAIL_MIN`` columns are tested for fill first, so that cycles and
+    tori of any size skip the bisection.
+    """
+    n = permuted.shape[0]
+
+    def dense(k: int) -> bool:
+        return int(fill[n - k:].sum()) >= TAIL_FILL * k * (k + 1) / 2
+
+    if n <= TAIL_MIN or not dense(TAIL_MIN):
+        return None
+
+    def components(k: int) -> np.ndarray:
+        return sp.csgraph.connected_components(permuted[:k, :k], directed=False)[1]
+
+    def small(k: int) -> bool:
+        return k == 0 or int(np.bincount(components(k)).max()) <= HEAD_BLOCK
+
+    lo, bad = max(n - DEFAULT_SOLVER_CAP, 0), n - TAIL_MIN + 1
+    if not small(lo) or small(bad):
+        return None
+    while bad - lo > 1:
+        mid = (lo + bad) // 2
+        if small(mid):
+            lo = mid
+        else:
+            bad = mid
+    if not dense(n - lo):
+        return None
+    h = lo
+    labels = components(h)
+    sizes = np.bincount(labels)[labels]
+    head = np.lexsort((labels, sizes))  # by block order, then block
+    split = np.concatenate([head, np.arange(h, n)])
+    order, permuted = order[split], permuted[split][:, split]
+    labels, sizes = labels[head], sizes[head]
+    new_block = np.r_[True, labels[1:] != labels[:-1]]
+    starts = np.flatnonzero(new_block)
+    block = np.cumsum(new_block) - 1  # of each head row
+    local = np.arange(h) - starts[block]
+    head_tail = permuted[:h, h:]
+    cut = np.bincount(block, weights=np.asarray(head_tail.multiply(head_tail).sum(axis=1)).ravel())
+    coo = permuted[:h, :h].tocoo()
+    groups = []
+    for s, first, rows in zip(*np.unique(sizes, return_index=True, return_counts=True)):
+        b0, nb = block[first], rows // s
+        stack = np.zeros((nb, s, s))
+        mine = (coo.row >= first) & (coo.row < first + rows)
+        r, c = coo.row[mine], coo.col[mine]
+        stack[block[r] - b0, local[r], local[c]] = coo.data[mine]
+        groups.append((int(s), stack, np.abs(stack).sum(axis=2).max(axis=1), cut[b0:b0 + nb]))
+    indptr = np.r_[0, np.cumsum(sizes)]
+    indices = np.repeat(starts[block], sizes) + np.arange(indptr[-1]) - np.repeat(indptr[:-1], sizes)
+    return _HeadTail(order, h, tuple(groups), indptr, indices, head_tail.tocsr(),
+                     permuted[h:, :h].tocsr(), permuted[h:, h:].tocsr())
+
+
 class InertiaCounts:
     """Eigenvalue counts and top eigenvalues without a full spectrum.
 
@@ -271,7 +384,12 @@ class InertiaCounts:
     sparse LU with diagonal pivoting, which by Sylvester's law of inertia is
     the number of eigenvalues < sigma; it is computed once per shift, each
     shift after the first in the first one's fill-reducing (MMD) order (a
-    symmetric permutation keeps the inertia).
+    symmetric permutation keeps the inertia). When that order ends in a
+    large dense tail, as on expanders, later shifts go by block elimination
+    instead (``_block_pivots``): small head blocks by batched dense
+    eigensolves, the tail's Schur complement by LAPACK's Bunch-Kaufman, the
+    inertias added (Haynsworth). A shift that route does not certify goes
+    through the sparse LU in the shared order, then to the dense spectrum.
 
     ``top(1)`` of equal row sums c is c, as in :func:`lambda1`. Otherwise
     ``top(k)`` finds lambda_k by plain Lanczos and by shift-invert Lanczos
@@ -300,6 +418,7 @@ class InertiaCounts:
         # the shared ordering q and A[q][:, q], set by the first factorization
         self._order: np.ndarray | None = None
         self._permuted: sp.csr_matrix | None = None
+        self._fill: np.ndarray | None = None  # entries in each column of its L
 
     @cached_property
     def _largest_row_sum(self) -> float:
@@ -323,9 +442,15 @@ class InertiaCounts:
         of an interior or multiple eigenvalue fail this test (and did
         miscount on hypercubes, cycles and tori); shifts near lambda_2 pass it.
         v is the last iterate, close to an eigenvector of the eigenvalue
-        nearest sigma.
+        nearest sigma. A later shift tries ``_block_pivots`` first when the
+        shared order has a head/tail split, and comes to this LU only when
+        that route refuses it.
         """
         first = self._order is None
+        if not first and self._head_tail is not None:
+            entry = self._block_pivots(sigma)
+            if entry is not None:
+                return entry
         a = self.g.csr if first else self._permuted
         shifted = (a - sigma * sp.identity(self.n, format="csr")).tocsc()
         try:
@@ -338,6 +463,7 @@ class InertiaCounts:
         if first:
             self._order = np.argsort(lu.perm_c)
             self._permuted = self.g.csr[self._order][:, self._order]
+            self._fill = np.diff(lu.L.indptr)
         if not np.array_equal(lu.perm_r, lu.perm_c):
             return None
         # |L| |U| 1, without abs(), which would sort the factors' indices first
@@ -361,13 +487,107 @@ class InertiaCounts:
         vector[order] = v
         return int(np.count_nonzero(lu.U.diagonal() < 0)), vector
 
+    @cached_property
+    def _head_tail(self) -> _HeadTail | None:
+        """The head/tail split of the shared order (see ``_head_tail``)."""
+        return _head_tail(self._permuted, self._order, self._fill)
+
+    def _block_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
+        """``_negative_pivots`` of a later shift by block elimination, or None
+        when it does not certify the inertia.
+
+        In the split order, M = A - sigma I is [[H, A_FT], [A_TF, A_TT - sigma I]]
+        with H block diagonal, and In(M) = In(H) + In(S) for the Schur
+        complement S = A_TT - sigma I - A_TF H^-1 A_FT (Haynsworth). A batched
+        dense eigensolve per block order gives each head block's inertia and
+        inverse; it is exact for the block perturbed by at most
+        delta = s^2 eps (largest row sum of |block| + |sigma|), and a block
+        whose smallest |eigenvalue| is not above its delta refuses the shift.
+        S is formed in one dense array and factored in place by LAPACK's
+        ``dsytrf`` (Bunch-Kaufman); D's 1 x 1 blocks count by sign, and each
+        2 x 2 block, whose determinant is negative, counts one. As in
+        ``_negative_pivots``, the inertia is certified when the backward
+        error stays below 1 / ||M^-1||, which 4 steps of inverse iteration
+        with the block solve estimate. The backward error adds:
+
+        - the largest delta;
+        - for each head block C, its squared weights into the tail times
+          (4 s^2 + (2 r + 8) s) eps / (smallest |eigenvalue|), r the longest
+          row of A: the rounding of C's inverse (2 s^2 eps for the
+          eigenvectors' loss of orthogonality, as in delta, and (s + 1) s eps
+          for V diag(1/w) V^T) and of the sparse products that form S (sums
+          of at most 2 r + 8 terms, times ||C's inverse||_F, at most
+          s^(1/2) / smallest);
+        - 2 eps ||S||_F for the subtractions that form S;
+        - eps sum_k ||L_k||_F^2 ||D_k||_F for the factorization, L_k the
+          columns of L at D's k-th block, which bounds eps || |L| |D| |L^T| ||_2
+          whatever row interchanges L's columns carry.
+        """
+        split = self._head_tail
+        n, h = self.n, split.h
+        m = n - h
+        eps = np.finfo(np.float64).eps
+        longest = int(np.diff(self.g.indptr).max())
+        negative, head, formed, parts = 0, 0.0, 0.0, []
+        for s, stack, row_sums, cut in split.groups:
+            w, v = np.linalg.eigh(stack - sigma * np.eye(s))
+            delta = s * s * eps * (row_sums + abs(sigma))
+            smallest = np.abs(w).min(axis=1)
+            if not np.all(smallest > delta):
+                return None
+            negative += int(np.count_nonzero(w < 0))
+            parts.append(((v / w[:, None, :]) @ v.transpose(0, 2, 1)).ravel())
+            head = max(head, float(delta.max()))
+            formed += float(np.sum(cut / smallest)) * (4 * s * s + (2 * longest + 8) * s) * eps
+        h_inv = sp.csr_matrix((np.concatenate(parts), split.indices, split.indptr), shape=(h, h))
+        schur = (split.tail - split.tail_head @ (h_inv @ split.head_tail)).toarray()
+        schur.flat[::m + 1] -= sigma
+        formed += 2.0 * eps * float(np.linalg.norm(schur))
+        lwork = int(scipy.linalg.lapack.dsytrf_lwork(m, lower=1)[0])
+        # schur.T is schur in Fortran order, factored in place
+        ldu, ipiv, info = scipy.linalg.lapack.dsytrf(schur.T, lower=1, lwork=lwork, overwrite_a=1)
+        d = ldu.diagonal().copy()
+        pairs = np.flatnonzero(ipiv < 0)[::2]  # first rows of D's 2 x 2 blocks
+        off = ldu[pairs + 1, pairs]
+        # Bunch-Kaufman takes a 2 x 2 pivot only when it is indefinite
+        if info != 0 or not np.all(d[pairs] * d[pairs + 1] < off * off):
+            return None
+        single = np.ones(m, dtype=bool)
+        single[pairs] = single[pairs + 1] = False
+        negative += int(np.count_nonzero(d[single] < 0)) + len(pairs)
+        # ||L_k||_F^2: 1 plus the squared multipliers below each diagonal
+        # entry, read from rows of ldu.T (a C-order view) 64 at a time
+        norms = np.ones(m)
+        for r in range(0, m, 64):
+            rows = ldu.T[r:r + 64, r:]
+            norms[r:r + 64] += np.triu(rows * rows, 1).sum(axis=1)
+        norms[pairs] += norms[pairs + 1] - off * off
+        d_norm = np.abs(d)
+        d_norm[pairs] = np.sqrt(d[pairs] ** 2 + 2.0 * off * off + d[pairs + 1] ** 2)
+        factored = eps * float(norms[single] @ d_norm[single] + norms[pairs] @ d_norm[pairs])
+        v = np.random.default_rng(0).standard_normal(n)[split.order]
+        v /= np.linalg.norm(v)
+        for _ in range(4):
+            y = h_inv @ v[:h]
+            x, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, v[h:] - split.tail_head @ y, lower=1)
+            w = np.concatenate([y - h_inv @ (split.head_tail @ x), x])
+            inverse_norm = np.linalg.norm(w)
+            v = w / inverse_norm
+        if not (head + formed + factored) * inverse_norm < 1.0:
+            return None
+        vector = np.empty(n)
+        vector[split.order] = v
+        return negative, vector
+
     def below(self, sigma: float, inclusive: bool = False) -> int:
         """Number of eigenvalues < sigma (<= sigma when ``inclusive``).
 
-        A factorization without a zero pivot means sigma is no eigenvalue,
-        so the two counts agree. A shift strictly outside [-B, B], B the
-        largest row sum, is no eigenvalue either and needs no factorization:
-        the count is 0 below -B and n above B.
+        Exact at a shift whose factorization is certified: sigma is then no
+        eigenvalue, so the two counts agree. A shift strictly outside
+        [-B, B], B the largest row sum, is no eigenvalue either and needs no
+        factorization: the count is 0 below -B and n above B. A refused
+        shift, such as an exact eigenvalue, gets the dense spectrum's count
+        (:meth:`Spectrum.below`), which rounding can put one off either way.
         """
         if sigma not in self._below:
             # n eps covers the rounding of the row sums and of this product

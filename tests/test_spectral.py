@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spectop import (
@@ -535,17 +535,21 @@ def check_intervals(g, xs):
 
 def reference_top(g, k):
     """``InertiaCounts.top(k)`` certified by two counts, as before the
-    residual enclosure and the row-sum rule: Lanczos, then shift-invert
-    Lanczos, each accepted when the counts at x -+ TOL_EIG leave at least k
-    eigenvalues at or above x - TOL_EIG and at most k - 1 above x + TOL_EIG,
-    else the dense value. The counts come from the dense spectrum."""
+    residual enclosure and the row-sum rule: Lanczos and shift-invert
+    Lanczos, in the order ``_top_gap_bound`` picks, each accepted when the
+    counts at x -+ TOL_EIG leave at least k eigenvalues at or above
+    x - TOL_EIG and at most k - 1 above x + TOL_EIG, else the dense value.
+    The counts come from the dense spectrum."""
     dense = eigenvalues(g, compute_residual=False)
     if g.m == 0:
         return 0.0
     if k < g.n - 1:
         a = g.csr
         bound = float(a.sum(axis=1).max())
-        for shift in ({}, {"sigma": bound + 1e-6 * max(bound, 1.0)}):
+        shifts = [{}, {"sigma": bound + 1e-6 * max(bound, 1.0)}]
+        if spectral._top_gap_bound(a, bound) < spectral.SHIFT_INVERT_GAP * bound:
+            shifts.reverse()
+        for shift in shifts:
             try:
                 x = float(spectral._lanczos_top(a, k, **shift)[k - 1])
             except SolverBudgetError:
@@ -624,7 +628,8 @@ def test_inertia_counts_match_the_reference_on_weighted_graphs(seed):
     (sweep_row_graph(CYCLE, 512)[0], True),
     (generate(FamilySpec("torus-grid", dims=(256, 4))), True),
     (sweep_row_graph(RR4, 512)[0], False),
-], ids=["cycle-512", "torus-256x4", "rr4-512"])
+    (generate(FamilySpec("path", n=1024)), True),
+], ids=["cycle-512", "torus-256x4", "rr4-512", "path-1024"])
 def test_the_top_gap_bound_picks_the_lanczos_that_finishes(g, shifted, monkeypatch):
     """Small top gaps start with shift-invert, expanders with plain
     Lanczos, and either way the first solve is certified."""
@@ -703,6 +708,115 @@ def test_second_eig_row_counts_below_minus_b_without_a_factorization(n, lhs, fp_
     assert row["fp_lhs"] == en_route_finite_param(g, dense, x, theta)[3].lhs
 
 
+# -- block elimination of later shifts -----------------------------------------
+
+
+def recorded_block_pivots(mp):
+    """Patch ``InertiaCounts._block_pivots`` to record (shift, count or None)."""
+    real, calls = InertiaCounts._block_pivots, []
+
+    def recorded(self, sigma):
+        entry = real(self, sigma)
+        calls.append((sigma, None if entry is None else entry[0]))
+        return entry
+
+    mp.setattr(InertiaCounts, "_block_pivots", recorded)
+    return calls
+
+
+@given(st.integers(3, 6), st.integers(10, 150), st.integers(1, spectral.HEAD_BLOCK),
+       st.integers(0, 2**32 - 1))
+def test_block_route_counts_match_the_dense_spectrum(d, half_n, head_block, seed):
+    """With the thresholds lowered so that random-regular graphs are split,
+    each later count equals the dense spectrum's, at random shifts across
+    [-B, B] = [-d, d] and below the spectrum; shifts within 1e-6 of an
+    eigenvalue are left out, where the dense count itself can round."""
+    g = generate(FamilySpec("random-regular", n=2 * half_n, d=d, seed=seed))
+    vals = eigenvalues(g, compute_residual=False).values
+    rng = np.random.default_rng(seed)
+    shifts = [s for s in [*rng.uniform(-d, d, 8), vals[0] - 0.01, vals[0] - 1.0]
+              if np.min(np.abs(vals - s)) > 1e-6]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "TAIL_MIN", 1)
+        mp.setattr(spectral, "TAIL_FILL", 0.0)
+        mp.setattr(spectral, "HEAD_BLOCK", min(head_block, half_n))
+        calls = recorded_block_pivots(mp)
+        counts = InertiaCounts(g)
+        counts.below(0.123)  # the first shift, factored by SuperLU in MMD order
+        # no split when every component has at most HEAD_BLOCK vertices
+        assume(counts._head_tail is not None)
+        for sigma in shifts:
+            assert counts.below(sigma) == np.searchsorted(vals, sigma), sigma
+    inside = [sigma for sigma in shifts if abs(sigma) <= d]  # beyond B nothing is factored
+    assert [sigma for sigma, _ in calls] == inside
+    assert sum(count is not None for _, count in calls) >= len(inside) / 2
+
+
+def test_the_rr4_2048_sweep_row_counts_later_shifts_by_block_elimination(monkeypatch):
+    """The row's two later counts need no sparse LU and no dense spectrum,
+    and the row is the one SuperLU gives in every cell."""
+    g, seed = sweep_row_graph(RR4, 2048)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "TAIL_MIN", g.n + 1)  # no split: SuperLU only
+        reference = _second_eig(g, seed, argparse.Namespace())[0]
+    calls = recorded_block_pivots(monkeypatch)
+    monkeypatch.setattr(InertiaCounts, "_dense", lambda self: pytest.fail("went dense"))
+    _, row, orderings, _ = second_eig_factorizations(RR4, 2048, monkeypatch)
+    assert row == reference
+    assert orderings == ["MMD_AT_PLUS_A"]
+    assert len(calls) == 2 and all(count is not None for _, count in calls)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_refused_block_shift_goes_to_the_shared_order_lu(monkeypatch):
+    """sigma = 0 is an exact eigenvalue of every one-vertex head block, so
+    the block route refuses it; the sparse LU in the shared order runs
+    next, and the count is the dense spectrum's."""
+    g = generate(FamilySpec("random-regular", n=200, d=4, seed=3))
+    monkeypatch.setattr(spectral, "TAIL_MIN", 1)
+    monkeypatch.setattr(spectral, "TAIL_FILL", 0.0)
+    monkeypatch.setattr(spectral, "HEAD_BLOCK", 1)
+    counts = InertiaCounts(g)
+    counts.below(0.5)
+    assert counts._head_tail.groups[0][0] == 1
+    calls = recorded_block_pivots(monkeypatch)
+    real_splu, orderings = scipy.sparse.linalg.splu, []
+
+    def recorded(*args, **kwargs):
+        orderings.append(kwargs["permc_spec"])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0)
+    assert calls == [(0.0, None)] and orderings == ["NATURAL"]
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("cycle", n=4096), FamilySpec("torus-grid", dims=(64, 64)),
+                                  FamilySpec("random-regular", n=1024, d=4, seed=1)],
+                         ids=lambda spec: spec.describe())
+def test_no_split_for_short_or_sparse_tails(spec):
+    # a cycle's tail is short, the torus's 1150 is 13% filled, and
+    # rr4 n=1024's tail of about 365 is below TAIL_MIN
+    counts = InertiaCounts(generate(spec))
+    counts.below(0.123)
+    assert counts._head_tail is None
+
+
+def test_a_block_shift_holds_one_tail_sized_array():
+    g, _ = sweep_row_graph(RR4, 2048)
+    counts = InertiaCounts(g)
+    counts.below(0.123)
+    m = g.n - counts._head_tail.h
+    tracemalloc.start()
+    try:
+        assert counts._block_pivots(0.456) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # S in one array, factored in place: no copy of it and no |L| beside it
+    assert peak < 2 * 8 * m * m
+
+
 @pytest.mark.filterwarnings("error")
 def test_counts_beyond_the_row_sum_bound_factor_nothing(monkeypatch):
     # B = 2 on the cycle: shifts strictly beyond +-B are counted 0 and n
@@ -721,6 +835,22 @@ def test_counts_beyond_the_row_sum_bound_factor_nothing(monkeypatch):
     for sigma in (2.0 + 1e-9, 1e300, math.inf):
         assert counts.below(sigma) == counts.below(sigma, inclusive=True) == 12
     assert all(entry is None or entry[1] is None for entry in counts._below.values())
+
+
+def test_a_refused_exact_eigenvalue_is_counted_up_to_rounding():
+    """2 is an eigenvalue of the cycle n = 12, so the factorization refuses
+    sigma = 2 and both counts are the computed dense spectrum's: off by its
+    rounding, as ``Spectrum.below`` says. On numpy 2.4 with OpenBLAS the
+    inclusive count reads 11, although all 12 eigenvalues are <= 2. The
+    counts m_count asks for, at 2 -+ TOL_EIG, are certified and exact."""
+    g = generate(FamilySpec("cycle", n=12))
+    counts = InertiaCounts(g)
+    dense = eigenvalues(g, compute_residual=False)
+    for inclusive in (False, True):
+        assert counts.below(2.0, inclusive) == dense.below(2.0, inclusive) in (11, 12)
+    assert counts._below[2.0] is None
+    assert m_count(counts, SpectralInterval.closed(2.0, 2.0)) == 1
+    assert counts._below[2.0 - TOL_EIG] is not None and counts._below[2.0 + TOL_EIG] is not None
 
 
 def test_top_certified_from_a_count_beyond_the_row_sum_bound():
@@ -833,6 +963,19 @@ def test_inertia_counts_at_exact_eigenvalues(spec, values):
     assert_tops_and_counts(g, spec.describe())
 
 
+@pytest.mark.parametrize("spec, values", [c for c in CLOSED_FORMS if generate(c[0]).n > spectral.HEAD_BLOCK],
+                         ids=lambda v: getattr(v, "describe", str)())
+def test_block_route_at_exact_eigenvalues(spec, values, monkeypatch):
+    """The same counts with the thresholds lowered, so that the later
+    shifts of these graphs go by block elimination first: a count it
+    certifies at or next to an exact eigenvalue must still be exact."""
+    monkeypatch.setattr(spectral, "TAIL_MIN", 1)
+    monkeypatch.setattr(spectral, "TAIL_FILL", 0.0)
+    calls = recorded_block_pivots(monkeypatch)
+    test_inertia_counts_at_exact_eigenvalues(spec, values)
+    assert any(count is not None for _, count in calls)
+
+
 def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
     """A factorization off the diagonal and a Lanczos that never converges
     leave every count and top eigenvalue as the dense spectrum has them,
@@ -844,7 +987,7 @@ def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
 
     class OffDiagonal:
         def __init__(self, lu):
-            self.U, self.perm_c = lu.U, lu.perm_c
+            self.L, self.U, self.perm_c = lu.L, lu.U, lu.perm_c
             self.perm_r = np.roll(lu.perm_r, 1)
 
     def no_convergence(*args, **kwargs):
