@@ -73,18 +73,21 @@ BALL_POWER_BUDGET = 2000
 BALL_FILTER_DEGREE = 8
 BALL_FILTER_CUT = 0.9
 
-# Block elimination of later shifts (``InertiaCounts``). The head of the
-# shared elimination order is its longest prefix whose induced components
-# have at most HEAD_BLOCK vertices; the tail is the rest. When the tail has
-# TAIL_MIN to DEFAULT_SOLVER_CAP vertices and the first factorization filled
-# at least TAIL_FILL of its lower triangle, a later shift factors the head
-# blocks densely and the tail's Schur complement with LAPACK's blocked
-# Bunch-Kaufman (``InertiaCounts._block_pivots``). Per shift, on
-# random-regular graphs (one BLAS thread, medians of 15): d=4 n=4096, tail
-# 1452, 0.09 s against SuperLU's 0.27 s; n=2048, tail 724, 0.040 against
-# 0.064 s; tails of 479-534 (d=3..6) took as long as SuperLU. Torus tails
-# of 1010-1150 (60x60, 64x64) are 13-14% filled, and SuperLU took 0.02 s
-# there against 0.06 s for the dense route; expander tails are 80-95% filled.
+# Block elimination (``InertiaCounts``). The head of the shared elimination
+# order is its longest prefix whose induced components have at most
+# HEAD_BLOCK vertices; the tail is the rest. When the tail has TAIL_MIN to
+# DEFAULT_SOLVER_CAP vertices and the factor L provably fills at least
+# TAIL_FILL of its lower triangle in the tail's columns (a symbolic lower
+# bound, ``_schur_columns``), every shift factors the head blocks densely
+# and the tail's Schur complement with LAPACK's blocked Bunch-Kaufman
+# (``InertiaCounts._block_pivots``). Per shift, on random-regular graphs
+# (one BLAS thread, medians of 15): d=4 n=4096, tail 1452, 0.09 s against
+# SuperLU's 0.27 s; n=2048, tail 724, 0.040 against 0.064 s; tails of
+# 479-534 (d=3..6) took as long as SuperLU. Torus tails of 1010-1150
+# (60x60, 64x64) are 13-14% filled, and SuperLU took 0.02 s there against
+# 0.06 s for the dense route; expander tails are 80-95% filled. The bound
+# reads 1.0 on the last TAIL_MIN columns of rr4 n=2048..8192 and hypercube
+# d=12, 0.13-0.15 on those tori (L: 0.24-0.34) and under 0.01 on cycles.
 HEAD_BLOCK = 48
 TAIL_MIN = 600
 TAIL_FILL = 0.5
@@ -310,26 +313,71 @@ class _HeadTail:
     tail: sp.csr_matrix  # A_TT, m x m
 
 
-def _head_tail(permuted: sp.csr_matrix, order: np.ndarray, fill: np.ndarray) -> _HeadTail | None:
+def _mmd_order(a: sp.csr_matrix, bound: float) -> np.ndarray:
+    """``splu``'s MMD order of the symmetric ``a`` (row sums at most
+    ``bound``), from ``spilu``, which runs the same ordering step on the
+    pattern alone and, with a drop tolerance of 1, next to no numeric work.
+    A + (B + 1) I is strictly diagonally dominant, so no pivot vanishes, as
+    one would in A - sigma I at an eigenvalue sigma.
+    """
+    dominant = (a + (bound + 1.0) * sp.identity(a.shape[0], format="csr")).tocsc()
+    ilu = scipy.sparse.linalg.spilu(
+        dominant, drop_tol=1.0, permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+    )
+    return np.argsort(ilu.perm_c)
+
+
+def _schur_columns(permuted: sp.csr_matrix, p: int, width: int) -> np.ndarray:
+    """Lower bounds on the entries in columns p, ..., p + width - 1 of the
+    factor L of the symmetric ``permuted`` in its own order, exact in
+    column p.
+
+    Eliminating the first p vertices leaves a Schur complement whose entry
+    (u, v) is structurally nonzero when u ~ v or some component of the
+    eliminated prefix touches both. Column j of L has the pattern of the
+    complement left after eliminating every vertex before j, which holds
+    this one's.
+    """
+    pattern = permuted[p:, p:p + width].astype(bool)
+    if p:
+        count, labels = sp.csgraph.connected_components(permuted[:p, :p], directed=False)
+        members = sp.csr_matrix((np.ones(p, dtype=bool), (labels, np.arange(p))), shape=(count, p))
+        touches = (members @ permuted[:p, p:].astype(bool)).tocsc()  # component x later vertex
+        pattern = pattern + touches.T @ touches[:, :width]
+    below = pattern.tocoo()
+    return 1 + np.bincount(below.col[below.row > below.col], minlength=width)
+
+
+def _head_tail(permuted: sp.csr_matrix, order: np.ndarray) -> _HeadTail | None:
     """The head/tail split of the elimination order ``order`` of A, given
-    ``permuted`` = A[order][:, order] and the entries ``fill[k]`` in column
-    k of its factor L. None when n is at most ``TAIL_MIN``, when the tail
-    has fewer than ``TAIL_MIN`` or more than ``DEFAULT_SOLVER_CAP``
-    vertices, or when L holds less than ``TAIL_FILL`` of a dense lower
-    triangle in the tail's columns (a sparse tail, as on tori, where
-    SuperLU is faster).
+    ``permuted`` = A[order][:, order]. None when n is at most ``TAIL_MIN``,
+    when the tail has fewer than ``TAIL_MIN`` or more than
+    ``DEFAULT_SOLVER_CAP`` vertices, or when the factor L cannot be shown to
+    hold ``TAIL_FILL`` of a dense lower triangle in the tail's columns (a
+    sparse tail, as on tori, where SuperLU is faster).
 
     Growing a prefix only merges its components, so the head's length is
     found by bisection, after testing the two lengths that bound it. The
     last ``TAIL_MIN`` columns are tested for fill first, so that cycles and
-    tori of any size skip the bisection.
+    tori of any size skip the bisection. For the whole tail,
+    ``_schur_columns`` is summed over the blocks of the last ``TAIL_MIN``,
+    1.5 ``TAIL_MIN``, 2 ``TAIL_MIN``, ... columns, each read only where the
+    smaller block ends, until the sum shows the fill: the complement left
+    by the head alone is sparse (14% on rr4 n=4096, whose L fills 90% of
+    the tail).
     """
     n = permuted.shape[0]
 
-    def dense(k: int) -> bool:
-        return int(fill[n - k:].sum()) >= TAIL_FILL * k * (k + 1) / 2
+    def dense(entries: int, k: int) -> bool:
+        return entries >= TAIL_FILL * k * (k + 1) / 2
 
-    if n <= TAIL_MIN or not dense(TAIL_MIN):
+    # on paths and cycles (largest degree at most 2) elimination keeps every
+    # degree at most 2, so each column of L holds at most 3 entries
+    if n <= TAIL_MIN or (np.diff(permuted.indptr).max() <= 2 and not dense(3 * TAIL_MIN, TAIL_MIN)):
+        return None
+    entries = int(_schur_columns(permuted, n - TAIL_MIN, TAIL_MIN).sum())
+    if not dense(entries, TAIL_MIN):
         return None
 
     def components(k: int) -> np.ndarray:
@@ -347,7 +395,12 @@ def _head_tail(permuted: sp.csr_matrix, order: np.ndarray, fill: np.ndarray) -> 
             lo = mid
         else:
             bad = mid
-    if not dense(n - lo):
+    m, k = n - lo, TAIL_MIN
+    while k < m and not dense(entries, m):
+        wider = min(k + TAIL_MIN // 2, m)
+        entries += int(_schur_columns(permuted, n - wider, wider - k).sum())
+        k = wider
+    if not dense(entries, m):
         return None
     h = lo
     labels = components(h)
@@ -382,14 +435,21 @@ class InertiaCounts:
 
     ``below(sigma)`` is the number of negative pivots of A - sigma I in a
     sparse LU with diagonal pivoting, which by Sylvester's law of inertia is
-    the number of eigenvalues < sigma; it is computed once per shift, each
-    shift after the first in the first one's fill-reducing (MMD) order (a
-    symmetric permutation keeps the inertia). When that order ends in a
-    large dense tail, as on expanders, later shifts go by block elimination
-    instead (``_block_pivots``): small head blocks by batched dense
-    eigensolves, the tail's Schur complement by LAPACK's Bunch-Kaufman, the
-    inertias added (Haynsworth). A shift that route does not certify goes
-    through the sparse LU in the shared order, then to the dense spectrum.
+    the number of eigenvalues < sigma; it is computed once per shift, every
+    shift in one fill-reducing (MMD) order shared by the graph (a symmetric
+    permutation keeps the inertia). A graph of more than ``TAIL_MIN``
+    vertices and largest degree 3 or more gets that order before its first
+    shift, from SuperLU's ordering step alone (``_mmd_order``), once. Other
+    graphs cannot split (below): smaller ones have no tail of ``TAIL_MIN``,
+    paths and cycles (largest degree at most 2) no dense one. Their first
+    shift's LU runs MMD itself, which costs less than a separate ordering
+    step, and its order is shared from then on. When the order ends in a
+    large dense tail, as on
+    expanders, every shift goes by block elimination first
+    (``_block_pivots``): small head blocks by batched dense eigensolves, the
+    tail's Schur complement by LAPACK's Bunch-Kaufman, the inertias added
+    (Haynsworth). A shift that route does not certify goes through the
+    sparse LU in the shared order, then to the dense spectrum.
 
     ``top(1)`` of equal row sums c is c, as in :func:`lambda1`. Otherwise
     ``top(k)`` finds lambda_k by plain Lanczos and by shift-invert Lanczos
@@ -415,10 +475,9 @@ class InertiaCounts:
         # beyond the row-sum bound, where nothing is factored), or None
         self._below: dict[float, tuple[int, np.ndarray | None] | None] = {}
         self._spectrum: Spectrum | None = None
-        # the shared ordering q and A[q][:, q], set by the first factorization
+        # the shared ordering q and A[q][:, q] (see ``_share``)
         self._order: np.ndarray | None = None
         self._permuted: sp.csr_matrix | None = None
-        self._fill: np.ndarray | None = None  # entries in each column of its L
 
     @cached_property
     def _largest_row_sum(self) -> float:
@@ -442,10 +501,15 @@ class InertiaCounts:
         of an interior or multiple eigenvalue fail this test (and did
         miscount on hypercubes, cycles and tori); shifts near lambda_2 pass it.
         v is the last iterate, close to an eigenvector of the eigenvalue
-        nearest sigma. A later shift tries ``_block_pivots`` first when the
-        shared order has a head/tail split, and comes to this LU only when
-        that route refuses it.
+        nearest sigma. A graph that can split (see :class:`InertiaCounts`)
+        gets the shared order first, from ``_mmd_order``; then a shift tries
+        ``_block_pivots`` when that order has a head/tail split, and comes
+        to the LU in the shared order only when that route refuses it. The
+        first shift of any other graph runs MMD in its own LU and shares
+        that order, unless a pivot is exactly zero.
         """
+        if self._order is None and self.n > TAIL_MIN and int(np.diff(self.g.indptr).max()) > 2:
+            self._share(_mmd_order(self.g.csr, self._largest_row_sum))
         first = self._order is None
         if not first and self._head_tail is not None:
             entry = self._block_pivots(sigma)
@@ -461,9 +525,7 @@ class InertiaCounts:
         except RuntimeError:  # a pivot is exactly zero
             return None
         if first:
-            self._order = np.argsort(lu.perm_c)
-            self._permuted = self.g.csr[self._order][:, self._order]
-            self._fill = np.diff(lu.L.indptr)
+            self._share(np.argsort(lu.perm_c))
         if not np.array_equal(lu.perm_r, lu.perm_c):
             return None
         # |L| |U| 1, without abs(), which would sort the factors' indices first
@@ -487,14 +549,19 @@ class InertiaCounts:
         vector[order] = v
         return int(np.count_nonzero(lu.U.diagonal() < 0)), vector
 
+    def _share(self, order: np.ndarray) -> None:
+        """Make ``order`` the elimination order of every later shift."""
+        self._order = order
+        self._permuted = self.g.csr[order][:, order]
+
     @cached_property
     def _head_tail(self) -> _HeadTail | None:
         """The head/tail split of the shared order (see ``_head_tail``)."""
-        return _head_tail(self._permuted, self._order, self._fill)
+        return _head_tail(self._permuted, self._order)
 
     def _block_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
-        """``_negative_pivots`` of a later shift by block elimination, or None
-        when it does not certify the inertia.
+        """``_negative_pivots`` of a shift by block elimination, or None when
+        it does not certify the inertia.
 
         In the split order, M = A - sigma I is [[H, A_FT], [A_TF, A_TT - sigma I]]
         with H block diagonal, and In(M) = In(H) + In(S) for the Schur
@@ -750,6 +817,54 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
     return tops
 
 
+def _row_hashes(pattern: sp.csr_matrix) -> np.ndarray:
+    """A 64-bit hash of each row's set of column ids: the wrapping sum of
+    splitmix64's finalizer of each id, so equal sets hash alike. Every row
+    must hold an id."""
+    x = np.arange(pattern.shape[1], dtype=np.uint64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return np.add.reduceat(x[pattern.indices], pattern.indptr[:-1])
+
+
+def _distinct_rows(pattern: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row pattern, ascending, and the index
+    of each row's pattern among them. Column ids are sorted in each row, and
+    every row holds one (a ball holds its center).
+
+    Rows are grouped by ``_row_hashes`` and each row is compared with the
+    first row of its group; only if some group holds two different patterns
+    (a hash collision) are the rows keyed by their bytes one by one.
+    """
+    n, ptr = pattern.shape[0], pattern.indptr
+    hashes = _row_hashes(pattern)
+    order = np.argsort(hashes)
+    starts = np.flatnonzero(np.concatenate([[n > 0], hashes[order[1:]] != hashes[order[:-1]]]))
+    rep = np.empty(n, dtype=np.int64)  # the first row of each row's group
+    rep[order] = np.minimum.reduceat(order, starts).repeat(np.diff(np.append(starts, n)))
+    first = rep == np.arange(n)
+    later = np.flatnonzero(~first)
+    size = np.diff(ptr)[later]
+    same = np.array_equal(np.diff(ptr)[rep[later]], size)
+    if same and later.size:
+        # the entries of each later row and of its group's first row, side by side
+        offsets = np.arange(size.sum()) - (np.cumsum(size) - size).repeat(size)
+        same = np.array_equal(pattern.indices[ptr[later].repeat(size) + offsets],
+                              pattern.indices[ptr[rep[later]].repeat(size) + offsets])
+    if same:
+        return np.flatnonzero(first), (np.cumsum(first) - 1)[rep]
+    raw, width = pattern.indices.tobytes(), pattern.indices.itemsize
+    bounds = ptr.tolist()
+    index: dict[bytes, int] = {}
+    which = np.empty(n, dtype=np.int64)
+    for v in range(n):
+        which[v] = index.setdefault(raw[width * bounds[v]:width * bounds[v + 1]], len(index))
+    return np.unique(which, return_index=True)[1], which
+
+
 def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     """lambda1 of every radius-``r`` ball, indexed by center.
 
@@ -766,18 +881,7 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     if r < 0:
         raise GraphError("radius must be nonnegative")
     members = _ball_members(g, r)
-    # one key per distinct vertex set: the bytes of its sorted ids
-    raw, width = members.indices.tobytes(), members.indices.itemsize
-    ptr = members.indptr.tolist()
-    first: dict[bytes, int] = {}
-    reps: list[int] = []
-    which = np.empty(g.n, dtype=np.int64)
-    for v in range(g.n):
-        key = raw[width * ptr[v]:width * ptr[v + 1]]
-        b = first.setdefault(key, len(reps))
-        if b == len(reps):
-            reps.append(v)
-        which[v] = b
+    reps, which = _distinct_rows(members)
     sizes = np.diff(members.indptr)[reps]
     tops = np.empty(len(reps))
     whole = sizes == g.n
@@ -791,7 +895,7 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
         chunks[-1].append(b)
         order += sizes[b]
     for chunk in chunks:
-        part = members[[reps[b] for b in chunk]]
+        part = members[reps[chunk]]
         block = np.arange(len(chunk)).repeat(np.diff(part.indptr))
         indptr, indices, weights = _induced_arrays(g, part.indices, block)
         a = sp.csr_matrix((weights, indices, indptr), shape=(len(block), len(block)))

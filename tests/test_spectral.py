@@ -360,6 +360,44 @@ def test_lambda1_balls_with_huge_weights(r):
     assert np.all(np.abs(tops - dense) <= 1e-12 * dense)
 
 
+def balls_by_bytes(members):
+    """Each distinct ball's first center and each center's ball index, with
+    one dict key per ball: the bytes of its sorted ids."""
+    index, reps, which = {}, [], []
+    for v in range(members.shape[0]):
+        key = members.indices[members.indptr[v]:members.indptr[v + 1]].tobytes()
+        if key not in index:
+            index[key] = len(reps)
+            reps.append(v)
+        which.append(index[key])
+    return reps, which
+
+
+def assert_balls_grouped_by_bytes(g, radii):
+    for r in radii:
+        members = spectral._ball_members(g, r)
+        reps, which = spectral._distinct_rows(members)
+        assert (reps.tolist(), which.tolist()) == balls_by_bytes(members), r
+
+
+@given(g=graphs)
+def test_equal_balls_are_grouped_as_by_their_bytes(g):
+    assert_balls_grouped_by_bytes(g, range(g.n + 2))
+
+
+@given(g=graphs)
+def test_a_hash_collision_falls_back_to_the_bytes(g):
+    # one hash for every ball: each group of more than one ball is checked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_row_hashes", lambda pattern: np.zeros(pattern.shape[0], dtype=np.uint64))
+        assert_balls_grouped_by_bytes(g, range(g.n + 2))
+
+
+def test_equal_balls_of_the_corpus_are_grouped_as_by_their_bytes(corpus):
+    for _, g in corpus:
+        assert_balls_grouped_by_bytes(g, (1, 2, 3))
+
+
 def two_cliques_and_a_tail():
     # K5 and a K5 of weight 1 + 1e-7, joined by one edge of weight 1e-6: the
     # top two eigenvalues of their union lie about 6e-7 apart. The unit path
@@ -664,27 +702,42 @@ def test_the_top_gap_bound_holds(g):
     assert spectral._top_gap_bound(g.csr, bound) >= vals[-1] - vals[-2] - 1e-9 * bound
 
 
-def second_eig_factorizations(fam, n, monkeypatch):
-    """The row of the criterion 11 sweep, and the ordering and fill of each
-    factorization it made."""
-    g, seed = sweep_row_graph(fam, n)
-    real_splu = scipy.sparse.linalg.splu
+def recorded_factorizations(mp):
+    """Patch ``splu`` and ``spilu`` to record, in call order, each
+    factorization's ordering (``permc_spec``) or "spilu" for the ordering
+    call, and the fill of each factorization."""
+    real_splu, real_spilu = scipy.sparse.linalg.splu, scipy.sparse.linalg.spilu
     orderings, sizes = [], []
 
-    def recorded(*args, **kwargs):
+    def splu(*args, **kwargs):
         orderings.append(kwargs["permc_spec"])
         lu = real_splu(*args, **kwargs)
         sizes.append(lu.nnz)
         return lu
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    def spilu(*args, **kwargs):
+        orderings.append("spilu")
+        return real_spilu(*args, **kwargs)
+
+    mp.setattr(scipy.sparse.linalg, "splu", splu)
+    mp.setattr(scipy.sparse.linalg, "spilu", spilu)
+    return orderings, sizes
+
+
+def second_eig_factorizations(fam, n, monkeypatch):
+    """The row of the criterion 11 sweep, and the orderings and fills that
+    ``recorded_factorizations`` records for it."""
+    g, seed = sweep_row_graph(fam, n)
+    orderings, sizes = recorded_factorizations(monkeypatch)
     return g, _second_eig(g, seed, argparse.Namespace())[0], orderings, sizes
 
 
 @pytest.mark.parametrize("fam", [CYCLE], ids=["cycle"])
 def test_second_eig_row_orders_once_and_factors_three_times(fam, monkeypatch):
     """x + TOL_EIG's count and its vector certify lambda_2; the row then
-    needs the two window counts, each in the first factorization's order."""
+    needs the two window counts, each in the first factorization's order.
+    A cycle's factor cannot fill a tail, so its first LU runs MMD itself
+    and no separate ordering call is made."""
     _, _, orderings, sizes = second_eig_factorizations(fam, 512, monkeypatch)
     assert orderings == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
     assert sizes == [sizes[0]] * 3  # the shared order keeps the first one's fill
@@ -708,6 +761,86 @@ def test_second_eig_row_counts_below_minus_b_without_a_factorization(n, lhs, fp_
     assert row["fp_lhs"] == en_route_finite_param(g, dense, x, theta)[3].lhs
 
 
+@pytest.mark.parametrize("spec", [FamilySpec("torus-grid", dims=(32, 32)), FamilySpec("torus-grid", dims=(40, 16))],
+                         ids=lambda spec: spec.describe())
+def test_the_shared_order_is_computed_once(spec, monkeypatch):
+    """2 is an exact eigenvalue, whose LU meets an exactly zero pivot and is
+    refused; the ordinary shift after it factors in the same order, so the
+    graph makes one ordering call in all (an MMD LU that met that pivot
+    would leave no order to share)."""
+    g = generate(spec)
+    dense = eigenvalues(g, compute_residual=False)
+    orderings, _ = recorded_factorizations(monkeypatch)
+    counts = InertiaCounts(g)
+    assert counts.below(2.0) == dense.below(2.0) and counts._below[2.0] is None
+    assert counts.below(0.5) == dense.below(0.5) and counts._below[0.5] is not None
+    assert orderings == ["spilu", "NATURAL", "NATURAL"]
+
+
+def assert_the_ordering_call_gives_the_mmd_order(g):
+    """``_mmd_order`` is the order of ``splu``'s MMD on A - sigma I, at
+    sigma = 0, or at 0.37 where 0 meets an exactly zero pivot (cycles)."""
+    for sigma in (0.0, 0.37):
+        try:
+            lu = scipy.sparse.linalg.splu(
+                (g.csr - sigma * sp.identity(g.n, format="csr")).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError:
+            continue
+        bound = float(g.csr.sum(axis=1).max())
+        assert np.array_equal(spectral._mmd_order(g.csr, bound), np.argsort(lu.perm_c))
+        return
+    pytest.fail("splu factored neither shift")
+
+
+@given(st.integers(3, 6), st.integers(4, 200), st.integers(0, 2**32 - 1))
+def test_the_ordering_call_gives_the_mmd_order_on_random_regular_graphs(d, half_n, seed):
+    assert_the_ordering_call_gives_the_mmd_order(generate(FamilySpec("random-regular", n=2 * half_n, d=d, seed=seed)))
+
+
+def test_the_ordering_call_gives_the_mmd_order_on_the_corpus(corpus):
+    for _, g in corpus:
+        assert_the_ordering_call_gives_the_mmd_order(g)
+
+
+def assert_the_fill_bound_is_below_the_factor(g, p, width):
+    """``_schur_columns`` never exceeds the column counts of L in the shared
+    order, and equals it in column p."""
+    bound = float(g.csr.sum(axis=1).max())
+    order = spectral._mmd_order(g.csr, bound)
+    permuted = g.csr[order][:, order]
+    # beyond the spectrum: definite, so no pivot vanishes or moves
+    lu = scipy.sparse.linalg.splu((permuted + (bound + 0.5) * sp.identity(g.n, format="csr")).tocsc(),
+                                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, np.arange(g.n)) and np.array_equal(lu.perm_c, np.arange(g.n))
+    fill = np.diff(lu.L.indptr)[p:p + width]
+    columns = spectral._schur_columns(permuted, p, width)
+    assert len(columns) == width
+    assert np.all(columns <= fill) and columns[0] == fill[0]
+    return columns, fill
+
+
+@given(st.integers(3, 6), st.integers(4, 150), st.integers(0, 2**32 - 1), st.floats(0, 1), st.floats(0, 1))
+def test_the_fill_bound_is_below_the_factor_on_random_regular_graphs(d, half_n, seed, start, span):
+    g = generate(FamilySpec("random-regular", n=2 * half_n, d=d, seed=seed))
+    p = min(int(start * g.n), g.n - 1)
+    assert_the_fill_bound_is_below_the_factor(g, p, max(1, int(span * (g.n - p))))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("cycle", n=1000), FamilySpec("torus-grid", dims=(40, 40)),
+                                  FamilySpec("random-regular", n=2048, d=4, seed=1)],
+                         ids=lambda spec: spec.describe())
+def test_the_fill_bound_of_the_last_columns(spec):
+    """On the last TAIL_MIN columns the bound reads a cycle and a torus as
+    sparse and an expander as dense, as its factor has them."""
+    g = generate(spec)
+    k = spectral.TAIL_MIN
+    columns, fill = assert_the_fill_bound_is_below_the_factor(g, g.n - k, k)
+    dense = spectral.TAIL_FILL * k * (k + 1) / 2
+    assert (columns.sum() >= dense) == (fill.sum() >= dense) == (spec.family == "random-regular")
+
+
 # -- block elimination of later shifts -----------------------------------------
 
 
@@ -728,43 +861,53 @@ def recorded_block_pivots(mp):
        st.integers(0, 2**32 - 1))
 def test_block_route_counts_match_the_dense_spectrum(d, half_n, head_block, seed):
     """With the thresholds lowered so that random-regular graphs are split,
-    each later count equals the dense spectrum's, at random shifts across
-    [-B, B] = [-d, d] and below the spectrum; shifts within 1e-6 of an
-    eigenvalue are left out, where the dense count itself can round."""
+    each count, the first one included, equals the dense spectrum's, at
+    random shifts across [-B, B] = [-d, d] and below the spectrum; shifts
+    within 1e-6 of an eigenvalue are left out, where the dense count itself
+    can round."""
     g = generate(FamilySpec("random-regular", n=2 * half_n, d=d, seed=seed))
     vals = eigenvalues(g, compute_residual=False).values
     rng = np.random.default_rng(seed)
     shifts = [s for s in [*rng.uniform(-d, d, 8), vals[0] - 0.01, vals[0] - 1.0]
               if np.min(np.abs(vals - s)) > 1e-6]
+    inside = [sigma for sigma in shifts if abs(sigma) <= d]  # beyond B nothing is factored
+    assume(inside)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "TAIL_MIN", 1)
         mp.setattr(spectral, "TAIL_FILL", 0.0)
         mp.setattr(spectral, "HEAD_BLOCK", min(head_block, half_n))
         calls = recorded_block_pivots(mp)
         counts = InertiaCounts(g)
-        counts.below(0.123)  # the first shift, factored by SuperLU in MMD order
-        # no split when every component has at most HEAD_BLOCK vertices
-        assume(counts._head_tail is not None)
         for sigma in shifts:
             assert counts.below(sigma) == np.searchsorted(vals, sigma), sigma
-    inside = [sigma for sigma in shifts if abs(sigma) <= d]  # beyond B nothing is factored
+        # no split when every component has at most HEAD_BLOCK vertices
+        assume(counts._head_tail is not None)
     assert [sigma for sigma, _ in calls] == inside
     assert sum(count is not None for _, count in calls) >= len(inside) / 2
 
 
-def test_the_rr4_2048_sweep_row_counts_later_shifts_by_block_elimination(monkeypatch):
-    """The row's two later counts need no sparse LU and no dense spectrum,
-    and the row is the one SuperLU gives in every cell."""
-    g, seed = sweep_row_graph(RR4, 2048)
+def assert_the_sweep_row_goes_by_block_elimination(n, monkeypatch):
+    """Every count of the rr4 row, the first one included, goes by block
+    elimination: one ordering call, no sparse LU and no dense spectrum; and
+    the row is the one SuperLU gives in every cell."""
+    g, seed = sweep_row_graph(RR4, n)
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "TAIL_MIN", g.n + 1)  # no split: SuperLU only
         reference = _second_eig(g, seed, argparse.Namespace())[0]
     calls = recorded_block_pivots(monkeypatch)
     monkeypatch.setattr(InertiaCounts, "_dense", lambda self: pytest.fail("went dense"))
-    _, row, orderings, _ = second_eig_factorizations(RR4, 2048, monkeypatch)
+    _, row, orderings, _ = second_eig_factorizations(RR4, n, monkeypatch)
     assert row == reference
-    assert orderings == ["MMD_AT_PLUS_A"]
-    assert len(calls) == 2 and all(count is not None for _, count in calls)
+    assert orderings == ["spilu"]
+    assert len(calls) == 3 and all(count is not None for _, count in calls)
+
+
+def test_the_rr4_2048_sweep_row_counts_later_shifts_by_block_elimination(monkeypatch):
+    assert_the_sweep_row_goes_by_block_elimination(2048, monkeypatch)
+
+
+def test_the_rr4_4096_sweep_row_counts_every_shift_by_block_elimination(monkeypatch):
+    assert_the_sweep_row_goes_by_block_elimination(4096, monkeypatch)
 
 
 @pytest.mark.filterwarnings("error")
@@ -780,13 +923,7 @@ def test_a_refused_block_shift_goes_to_the_shared_order_lu(monkeypatch):
     counts.below(0.5)
     assert counts._head_tail.groups[0][0] == 1
     calls = recorded_block_pivots(monkeypatch)
-    real_splu, orderings = scipy.sparse.linalg.splu, []
-
-    def recorded(*args, **kwargs):
-        orderings.append(kwargs["permc_spec"])
-        return real_splu(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recorded)
+    orderings, _ = recorded_factorizations(monkeypatch)
     assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0)
     assert calls == [(0.0, None)] and orderings == ["NATURAL"]
 
@@ -800,6 +937,20 @@ def test_no_split_for_short_or_sparse_tails(spec):
     counts = InertiaCounts(generate(spec))
     counts.below(0.123)
     assert counts._head_tail is None
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("cycle", n=4096), FamilySpec("path", n=5000)],
+                         ids=lambda spec: spec.describe())
+def test_paths_and_cycles_make_no_ordering_call_and_no_split(spec, monkeypatch):
+    """Largest degree 2: the first LU runs MMD itself, and the degree alone
+    rules out a dense tail, with no Schur pattern formed."""
+    monkeypatch.setattr(spectral, "_schur_columns", lambda *args: pytest.fail("formed a Schur pattern"))
+    orderings, _ = recorded_factorizations(monkeypatch)
+    counts = InertiaCounts(generate(spec))
+    counts.below(0.123)
+    counts.below(0.456)
+    assert counts._head_tail is None
+    assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
 def test_a_block_shift_holds_one_tail_sized_array():
