@@ -37,9 +37,9 @@ from .spectral import (
     TOL_EIG,
     InertiaCounts,
     Spectrum,
-    SpectralInterval,
+    count_at_most,
+    count_below,
     eigenvalues,
-    mu,
 )
 
 __all__ = [
@@ -198,9 +198,10 @@ def finite_param_check(
     )
     if spectrum is None:
         spectrum = InertiaCounts(g)
-    params = replace(params, delta_top=float(mu(spectrum, SpectralInterval.above(x))))
+    at_most = count_at_most(spectrum, x)
+    params = replace(params, delta_top=(g.n - at_most) / g.n)
     terms = finite_param_rhs(params)
-    lhs = float(mu(spectrum, SpectralInterval.top_window(x, theta)))
+    lhs = max(0, at_most - count_below(spectrum, (1.0 - theta) * x)) / g.n
     rhs = terms.total
     ok = lhs <= rhs + FINITE_PARAM_TOL
     return BoundReport(
@@ -304,7 +305,8 @@ def thm_checker(
     if not (0 < theta < math.inf and math.isfinite(x)):
         raise GraphError("x and theta must be finite, and theta positive")
 
-    delta_top = float(mu(spectrum, SpectralInterval.above(x)))
+    at_most = count_at_most(spectrum, x)
+    delta_top = (g.n - at_most) / g.n
     tail_cap = math.pow(dt, -10.0 / theta)
     hypotheses = {"tail_mass": _hyp_leq(delta_top, tail_cap)}
     if rate_kind == "main":
@@ -330,7 +332,7 @@ def thm_checker(
                 f"hypothesis {name!r} violated for variant {variant_kind!r}"
             )
 
-    lhs = float(mu(spectrum, SpectralInterval.top_window(x, theta)))
+    lhs = max(0, at_most - count_below(spectrum, (1.0 - theta) * x)) / g.n
     selection = select_r_s(theta, dt)
     implied = lhs / rate if rate not in (0.0, math.inf) else 0.0
     return BoundReport(

@@ -70,9 +70,9 @@ from .spectral import (
     DEFAULT_SOLVER_CAP,
     InertiaCounts,
     LocalGlobalReport,
-    SpectralInterval,
+    count_at_most,
+    count_below,
     eigenvalues,
-    interval_query_json,
     local_global_check,
 )
 from .walks import (
@@ -244,7 +244,10 @@ def _parse_interval(text: str) -> tuple[float, float]:
     a, _, b = text.partition(":")
     if not b:
         raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
-    return (float(a), float(b))
+    ends = (float(a), float(b))
+    if any(map(math.isnan, ends)):
+        raise argparse.ArgumentTypeError(f"an interval end is NaN: {text!r}")
+    return ends
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -340,8 +343,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     emit(csv_text(("index", "eigenvalue"), rows), args.out, config, args.seed)
     if args.interval is not None:
         a, b = args.interval
-        iv = SpectralInterval(a, b, not args.open_a, not args.open_b)
-        text = json.dumps(interval_query_json(spectrum, iv), sort_keys=True)
+        # an open end leaves out eigenvalues within TOL_EIG of it, a closed one takes them in
+        lo = (count_at_most if args.open_a else count_below)(spectrum, a)
+        hi = (count_below if args.open_b else count_at_most)(spectrum, b)
+        count = max(0, hi - lo)
+        record = {"a": a, "b": b, "closed_a": not args.open_a, "closed_b": not args.open_b,
+                  "count": count, "mu": count / spectrum.n if spectrum.n else None}
+        text = json.dumps(record, sort_keys=True)
         emit(text, args.query_out, config, args.seed)
     return 0
 

@@ -1,12 +1,14 @@
-"""Spectra of weighted adjacency matrices and interval mass queries.
+"""Spectra of weighted adjacency matrices and eigenvalue counts.
 
 Eigenvalue counting is the measurement side of every inequality in the
-package: ``mu`` for normalized counting measure mass, ``trace_power`` for
-walk sums, ``lambda1`` for spectral radii of graphs and balls.  Counts near
-interval endpoints use the shared tolerance ``TOL_EIG`` so that exact
-multiplicities (cycle spectra, hypercubes) land on the intended side.
+package: ``count_at_most`` and ``count_below`` for window and tail masses,
+``trace_power`` for walk sums, ``lambda1`` for spectral radii of graphs and
+balls.  Each count rounds in a named direction by the shared tolerance
+``TOL_EIG``: ``count_at_most`` reads high and ``count_below`` reads low, so
+that exact multiplicities (cycle spectra, hypercubes) land on the intended
+side.
 
-``m_count`` and ``mu`` take either a dense :class:`Spectrum` or an
+Both counts take either a dense :class:`Spectrum` or an
 :class:`InertiaCounts`, which counts by Sylvester's law of inertia on a
 sparse factorization and finds the top eigenvalues by Lanczos; the checks
 that need only a few counts use the latter.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -31,16 +32,14 @@ __all__ = [
     "SolverBudgetError",
     "Spectrum",
     "InertiaCounts",
-    "SpectralInterval",
     "eigenvalues",
     "lambda1",
     "lambda1_balls",
-    "m_count",
-    "mu",
+    "count_at_most",
+    "count_below",
     "trace_power",
     "LocalGlobalReport",
     "local_global_check",
-    "interval_query_json",
 ]
 
 TOL_EIG = 1e-8
@@ -131,48 +130,6 @@ class Spectrum:
         if not 1 <= k <= self.n:
             raise GraphError(f"no eigenvalue number {k} among {self.n}")
         return float(self.values[-k])
-
-
-@dataclass(frozen=True)
-class SpectralInterval:
-    """An interval with explicit open/closed endpoint flags.
-
-    Infinite endpoints are allowed (use ``math.inf``); an infinite endpoint's
-    flag is irrelevant.
-    """
-
-    a: float
-    b: float
-    closed_a: bool = True
-    closed_b: bool = True
-
-    @classmethod
-    def closed(cls, a: float, b: float) -> "SpectralInterval":
-        return cls(a, b, True, True)
-
-    @classmethod
-    def open(cls, a: float, b: float) -> "SpectralInterval":
-        return cls(a, b, False, False)
-
-    @classmethod
-    def above(cls, x: float) -> "SpectralInterval":
-        """The open half line (x, inf)."""
-        return cls(x, math.inf, False, True)
-
-    @classmethod
-    def below(cls, x: float) -> "SpectralInterval":
-        """The closed half line (-inf, x]."""
-        return cls(-math.inf, x, True, True)
-
-    @classmethod
-    def top_window(cls, x: float, theta: float) -> "SpectralInterval":
-        """The closed window [(1-theta) x, x]."""
-        return cls((1.0 - theta) * x, x, True, True)
-
-    def describe(self) -> str:
-        lo = "[" if self.closed_a else "("
-        hi = "]" if self.closed_b else ")"
-        return f"{lo}{self.a:.17g}, {self.b:.17g}{hi}"
 
 
 def eigenvalues(
@@ -914,34 +871,14 @@ def _kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def m_count(spectrum: Spectrum | InertiaCounts, interval: SpectralInterval) -> int:
-    """Number of eigenvalues in the interval.
-
-    Eigenvalues within ``TOL_EIG`` of a closed endpoint count as inside;
-    within ``TOL_EIG`` of an open endpoint they count as outside.
-    """
-    if spectrum.n == 0:
-        return 0
-    if interval.a == -math.inf:
-        lo = 0
-    elif interval.closed_a:
-        lo = spectrum.below(interval.a - TOL_EIG)
-    else:
-        lo = spectrum.below(interval.a + TOL_EIG, inclusive=True)
-    if interval.b == math.inf:
-        hi = spectrum.n
-    elif interval.closed_b:
-        hi = spectrum.below(interval.b + TOL_EIG, inclusive=True)
-    else:
-        hi = spectrum.below(interval.b - TOL_EIG)
-    return max(0, hi - lo)
+def count_at_most(spectrum: Spectrum | InertiaCounts, x: float) -> int:
+    """#{lambda <= x}, read high: eigenvalues within ``TOL_EIG`` above x count."""
+    return spectrum.below(x + TOL_EIG, inclusive=True) if spectrum.n else 0
 
 
-def mu(spectrum: Spectrum | InertiaCounts, interval: SpectralInterval) -> Fraction:
-    """Normalized counting measure of the interval, as an exact rational."""
-    if spectrum.n == 0:
-        raise GraphError("mu of the empty spectrum is undefined")
-    return Fraction(m_count(spectrum, interval), spectrum.n)
+def count_below(spectrum: Spectrum | InertiaCounts, x: float) -> int:
+    """#{lambda < x}, read low: eigenvalues within ``TOL_EIG`` below x do not count."""
+    return spectrum.below(x - TOL_EIG) if spectrum.n else 0
 
 
 def trace_power(g: WeightedGraph, k: int) -> float:
@@ -993,18 +930,3 @@ def local_global_check(g: WeightedGraph, r: int) -> LocalGlobalReport:
     ok = slack >= -LOCAL_GLOBAL_SLACK_TOL * abs(rhs)
     return LocalGlobalReport(r, lhs, rhs, slack, ok)
 
-
-# -- exports -----------------------------------------------------------------
-
-
-def interval_query_json(spectrum: Spectrum, interval: SpectralInterval) -> dict:
-    """The flat record {a, b, closed_a, closed_b, count, mu}."""
-    count = m_count(spectrum, interval)
-    return {
-        "a": interval.a,
-        "b": interval.b,
-        "closed_a": interval.closed_a,
-        "closed_b": interval.closed_b,
-        "count": count,
-        "mu": count / spectrum.n if spectrum.n else None,
-    }

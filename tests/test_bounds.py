@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,19 +16,22 @@ from spectop import (
     FamilySpec,
     GraphError,
     HypothesisViolatedError,
+    InertiaCounts,
     NotANetError,
-    SpectralInterval,
+    Spectrum,
+    count_at_most,
+    count_below,
     eigenvalues,
     finite_param_check,
     finite_param_rhs,
     generate,
     greedy_tree_net,
     interlacing_check,
-    mu,
     select_r_s,
     thm_checker,
 )
 from spectop import spectral
+from spectop.cli import ExperimentConfig, main, sweep_rows
 from spectop.graphs import VertexSet
 from spectop.nets import NetResult
 from spectop.rng import rng_for
@@ -117,8 +122,19 @@ def test_finite_param_check_lhs_is_window_mass(cycle12):
     spectrum = eigenvalues(cycle12, compute_residual=False)
     net = greedy_tree_net(cycle12, 1)
     rep = finite_param_check(cycle12, 2.0, 0.5, 1, 1, net, spectrum=spectrum)
-    expected = float(mu(spectrum, SpectralInterval.top_window(2.0, 0.5)))
-    assert rep.lhs == expected
+    expected = (count_at_most(spectrum, 2.0) - count_below(spectrum, 1.0)) / 12
+    assert rep.lhs == expected == 5 / 12
+
+
+def test_window_mass_counts_both_closed_ends(cycle12):
+    """[(1 - theta) x, x] is closed: eigenvalues at either end, or within
+    TOL_EIG outside it, count in the window and not in the tail above x."""
+    values = np.array([-2.0] * 7 + [1.5 - 1e-9, 1.5, 1.7, 2.0, 2.0 + 1e-9])
+    spectrum = Spectrum(values, 0.0)
+    rep = finite_param_check(cycle12, 2.0, 0.25, 1, 1, greedy_tree_net(cycle12, 1), spectrum=spectrum)
+    assert rep.lhs == 5 / 12 and rep.params["delta_top"] == 0.0
+    rep = thm_checker(cycle12, "main", x=2.0, theta=0.25, spectrum=spectrum)
+    assert rep.lhs == 5 / 12 and rep.params["delta_top"] == 0.0
 
 
 def test_finite_param_check_rejects_radius_mismatch(cycle12):
@@ -271,3 +287,34 @@ def test_interlacing_rejects_unknown_mode(cycle12):
     with pytest.raises(GraphError):
         interlacing_check(cycle12, VertexSet.of([0], 12), mode="shuffle")
 
+
+
+# The shifts each InertiaCounts is first asked for, in order, over the
+# criterion 11 sweep (seed 17) and one finite-param run at a given x (where
+# no top eigenvalue asks first): their count and the sha256 of their
+# float.hex strings joined by commas. The cache, the shared elimination
+# order and every count follow from them. Recorded while the counts still
+# went through a four-flag interval object.
+CHECK_SHIFTS = (30, "91144bf428b7183a188e2e5a56117b84bb9d156f3cca2d2188facea9d642a579")
+
+
+def test_checks_ask_for_the_recorded_shifts(tmp_path, monkeypatch):
+    shifts = []
+    real = InertiaCounts.below
+
+    def below(self, sigma, inclusive=False):
+        if sigma not in self._below:
+            shifts.append(sigma)
+        return real(self, sigma, inclusive)
+
+    monkeypatch.setattr(InertiaCounts, "below", below)
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(suite="second-eig", seed=17,
+                           families=({"family": "cycle"}, {"family": "random-regular", "d": 4}),
+                           grid={"n": [2**k for k in range(8, 13)]})
+    sweep_rows(cfg, 1)
+    assert main(["verify", "finite-param", "--family", "random-regular", "--n", "1024",
+                 "--d", "4", "--theta", "0.3", "--r", "1", "--s", "2", "--x-rule", "value",
+                 "--x", "3", "--seed", "3", "--out", "fp.csv"]) == 0
+    text = ",".join(sigma.hex() for sigma in shifts)
+    assert (len(shifts), hashlib.sha256(text.encode()).hexdigest()) == CHECK_SHIFTS

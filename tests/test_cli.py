@@ -215,6 +215,43 @@ def test_spectrum_csv_and_interval_query(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == q
 
 
+# Queries on cycle 12, whose spectrum holds -1, 0 and 1 twice each and, above
+# 1, sqrt(3) twice and 2 once: (flags, count). The battery runs them too.
+INTERVAL_QUERIES = [
+    (["--interval=-1:1"], 6),
+    (["--interval=-1:1", "--open-a"], 4),
+    (["--interval=-1:1", "--open-b"], 4),
+    (["--interval=-1:1", "--open-a", "--open-b"], 2),
+    (["--interval=1:inf", "--open-a"], 3),
+]
+QUERY_ARGVS = [["spectrum", "--family", "cycle", "--n", "12", *flags,
+                "--query-out", f"q{i}.json", "--out", f"s{i}.csv"]
+               for i, (flags, _) in enumerate(INTERVAL_QUERIES)]
+
+
+@pytest.mark.parametrize("i", range(len(INTERVAL_QUERIES)),
+                         ids=["closed", "open-a", "open-b", "open", "open-a-to-inf"])
+def test_spectrum_interval_query_ends(tmp_path, monkeypatch, i):
+    monkeypatch.chdir(tmp_path)
+    flags, count = INTERVAL_QUERIES[i]
+    assert run(QUERY_ARGVS[i]) == 0
+    q = json.loads((tmp_path / f"q{i}.json").read_text())
+    a, b = map(float, flags[0].removeprefix("--interval=").split(":"))
+    assert q == {"a": a, "b": b, "closed_a": "--open-a" not in flags,
+                 "closed_b": "--open-b" not in flags, "count": count, "mu": count / 12}
+
+
+@pytest.mark.parametrize("interval", ["1:nan", "nan:1", "nan:nan"])
+def test_spectrum_nan_interval_end_exits_2(tmp_path, monkeypatch, capsys, interval):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["spectrum", "--family", "cycle", "--n", "12", f"--interval={interval}",
+             "--out", "s.csv"])
+    assert exc.value.code == 2
+    assert "NaN" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_walks_tree_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["walks", "tree", "--d", "4", "--N", "3", "--out", "t.csv"]) == 0
@@ -601,6 +638,7 @@ BATTERY = [
     ["verify", "interlace", "--family", "cycle", "--n", "18", "--u-size", "3",
      "--trials", "4", "--seed", "2", "--out", "il.csv"],
     ["walks", "tree", "--d", "3", "--N", "20", "--out", "walks.csv"],
+    *QUERY_ARGVS,
 ]
 
 

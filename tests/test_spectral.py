@@ -23,20 +23,18 @@ from spectop import (
     InertiaCounts,
     SolverBudgetError,
     SolverCapError,
-    SpectralInterval,
     Spectrum,
     WeightedGraph,
     all_pairs_distances,
     ball,
     build_graph,
+    count_at_most,
+    count_below,
     eigenvalues,
     generate,
-    interval_query_json,
     lambda1,
     lambda1_balls,
     local_global_check,
-    m_count,
-    mu,
     trace_power,
 )
 from spectop import spectral
@@ -207,28 +205,27 @@ def test_a_lapack_failure_in_lambda1_raises(monkeypatch):
         lambda1(g)
 
 
-def test_m_count_endpoint_semantics():
+def test_count_endpoint_semantics():
     spec = Spectrum(np.array([-1.0, 0.0, 1.0, 1.0, 2.0]), 0.0)
-    assert m_count(spec, SpectralInterval.closed(1.0, 2.0)) == 3
-    assert m_count(spec, SpectralInterval(1.0, 2.0, False, True)) == 1
-    assert m_count(spec, SpectralInterval(1.0, 2.0, True, False)) == 2
-    assert m_count(spec, SpectralInterval.above(0.0)) == 3
-    assert m_count(spec, SpectralInterval.below(0.0)) == 2
-    # endpoints match up to the eigenvalue tolerance
-    assert m_count(spec, SpectralInterval.closed(1.0 + 1e-12, 2.0)) == 3
+    assert count_at_most(spec, 2.0) - count_below(spec, 1.0) == 3  # [1, 2]
+    assert count_at_most(spec, 2.0) - count_at_most(spec, 1.0) == 1  # (1, 2]
+    assert count_below(spec, 2.0) - count_below(spec, 1.0) == 2  # [1, 2)
+    assert spec.n - count_at_most(spec, 0.0) == 3  # (0, inf)
+    assert count_at_most(spec, 0.0) == 2  # (-inf, 0]
+    # ends match up to the eigenvalue tolerance, each count toward its side
+    assert count_below(spec, 1.0 + 1e-12) == 2
+    assert count_at_most(spec, 1.0 - 1e-12) == 4
+    assert count_below(spec, 1.0 + 2 * TOL_EIG) == 4
+    assert count_at_most(spec, 1.0 - 2 * TOL_EIG) == 2
+    assert count_at_most(spec, math.inf) == 5 and count_below(spec, -math.inf) == 0
 
 
-def test_mu_is_exact_rational():
-    spec = Spectrum(np.array([0.0, 1.0, 1.0, 3.0]), 0.0)
-    value = mu(spec, SpectralInterval.closed(1.0, 3.0))
-    assert isinstance(value, Fraction)
-    assert value == Fraction(3, 4)
-
-
-def test_top_window_interval():
-    iv = SpectralInterval.top_window(2.0, 0.25)
-    assert iv.a == 1.5 and iv.b == 2.0
-    assert iv.closed_a and iv.closed_b
+def test_window_mass_is_the_correctly_rounded_rational():
+    """A count over n as a float is the rational c / n rounded once, as the
+    exact ``Fraction`` the masses were once kept in would round it."""
+    for n in (3, 7, 12, 1000, 4096, 65536):
+        for c in range(0, n + 1, max(1, n // 97)):
+            assert c / n == float(Fraction(c, n)), (c, n)
 
 
 def spectrum_moment(spectrum: Spectrum, k: int) -> float:
@@ -531,20 +528,23 @@ def test_spectrum_csv_format(tmp_path, cycle12):
     assert float(first[1]) == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_interval_query_json_is_flat(cycle12):
-    spec = eigenvalues(cycle12)
-    record = interval_query_json(spec, SpectralInterval.closed(-2.0, 2.0))
-    assert set(record) == {"a", "b", "closed_a", "closed_b", "count", "mu"}
-    assert record["count"] == cycle12.n
-    assert record["mu"] == 1.0
-    json.dumps(record)  # round-trippable
+def interval_query(cycle12, tmp_path, interval):
+    path = tmp_path / "q.json"
+    argv = ["spectrum", "--family", "cycle", "--n", str(cycle12.n), f"--interval={interval}",
+            "--query-out", str(path), "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    return json.loads(path.read_text())
 
 
-def test_interval_query_counts_boundary(cycle12):
-    spec = eigenvalues(cycle12)
+def test_interval_query_json_is_flat(cycle12, tmp_path):
+    record = interval_query(cycle12, tmp_path, "-2:2")
+    assert record == {"a": -2.0, "b": 2.0, "closed_a": True, "closed_b": True,
+                      "count": cycle12.n, "mu": 1.0}
+
+
+def test_interval_query_counts_boundary(cycle12, tmp_path):
     # C_12 has simple eigenvalue 2 at the top
-    record = interval_query_json(spec, SpectralInterval.closed(2.0, 3.0))
-    assert record["count"] == 1
+    assert interval_query(cycle12, tmp_path, "2:3")["count"] == 1
 
 
 # -- inertia counts against the dense spectrum --------------------------------
@@ -558,16 +558,17 @@ def test_spectrum_below_and_top_match_searchsorted(cycle12):
         spec.top(13)
 
 
-def check_intervals(g, xs):
-    """Every interval the thm and finite-param checks build at these x:
-    (x, inf) and [(1 - theta) x, x] for the criterion 05 widths, the
-    second-eig preset and its en-route width."""
+def check_counts(g, xs):
+    """Every count the thm and finite-param checks take at these x, as
+    (count, point): #{lambda <= x} for the tail and the window's top, and
+    #{lambda < (1 - theta) x} for the window's foot at the criterion 05
+    widths, the second-eig preset and its en-route width."""
     preset = 10.0 / (math.log(g.n) / math.log(g.delta_tilde))
     thetas = (0.1, 0.3, 0.5, 0.7, preset, preset if preset < 1.0 else EN_ROUTE_THETA_CAP)
     out = []
     for x in xs:
-        out.append(SpectralInterval.above(x))
-        out += [SpectralInterval.top_window(x, theta) for theta in thetas]
+        out.append((count_at_most, x))
+        out += [(count_below, (1.0 - theta) * x) for theta in thetas]
     return out
 
 
@@ -600,8 +601,8 @@ def reference_top(g, k):
 def assert_tops_and_counts(g, name):
     """On a fresh ``InertiaCounts`` each: top(2), and top(1) unless the row
     sums are all equal, are bit-equal to ``reference_top``; top(1) of equal
-    row sums c is c, as ``lambda1`` has it. Every count over
-    ``check_intervals`` equals the dense count. Returns the counts used."""
+    row sums c is c, as ``lambda1`` has it. Every count of
+    ``check_counts`` equals the dense count. Returns the counts used."""
     spec = eigenvalues(g, compute_residual=False)
     top2 = InertiaCounts(g).top(2)
     assert top2 == reference_top(g, 2), name
@@ -616,9 +617,8 @@ def assert_tops_and_counts(g, name):
     counts = InertiaCounts(g)
     lam1, lam2 = spec.top(1), spec.top(2)
     xs = (lam2, top2, 0.75 * lam1, lam1 / 2.0, max(lam2, g.w_min))
-    for iv in check_intervals(g, xs):
-        assert m_count(counts, iv) == m_count(spec, iv), (name, iv.describe())
-        assert mu(counts, iv) == mu(spec, iv)
+    for count, x in check_counts(g, xs):
+        assert count(counts, x) == count(spec, x), (name, count.__name__, x)
     return counts, spec
 
 
@@ -993,14 +993,14 @@ def test_a_refused_exact_eigenvalue_is_counted_up_to_rounding():
     sigma = 2 and both counts are the computed dense spectrum's: off by its
     rounding, as ``Spectrum.below`` says. On numpy 2.4 with OpenBLAS the
     inclusive count reads 11, although all 12 eigenvalues are <= 2. The
-    counts m_count asks for, at 2 -+ TOL_EIG, are certified and exact."""
+    counts at 2 itself, at 2 -+ TOL_EIG, are certified and exact."""
     g = generate(FamilySpec("cycle", n=12))
     counts = InertiaCounts(g)
     dense = eigenvalues(g, compute_residual=False)
     for inclusive in (False, True):
         assert counts.below(2.0, inclusive) == dense.below(2.0, inclusive) in (11, 12)
     assert counts._below[2.0] is None
-    assert m_count(counts, SpectralInterval.closed(2.0, 2.0)) == 1
+    assert count_at_most(counts, 2.0) - count_below(counts, 2.0) == 1
     assert counts._below[2.0 - TOL_EIG] is not None and counts._below[2.0 + TOL_EIG] is not None
 
 
@@ -1095,20 +1095,15 @@ def test_inertia_counts_at_exact_eigenvalues(spec, values):
     dense = eigenvalues(g, compute_residual=False)
     counts = InertiaCounts(g)
     distinct = sorted(set(np.round(values, 12)))
-    intervals = []
+    ends = []
     for lam in distinct:
         for a in (lam - TOL_EIG / 2, lam, lam + TOL_EIG / 2):
-            intervals += [
-                SpectralInterval.closed(a, a),
-                SpectralInterval.open(a - 1.0, a),
-                SpectralInterval.above(a),
-                SpectralInterval.below(a),
-                SpectralInterval(a, distinct[-1], False, True),
-            ]
-    for iv in intervals:
-        want = m_count(exact, iv)
-        assert m_count(dense, iv) == want, iv.describe()
-        assert m_count(counts, iv) == want, iv.describe()
+            ends += [(count_below, a), (count_at_most, a), (count_at_most, a - 1.0)]
+    ends.append((count_at_most, distinct[-1]))
+    for count, a in ends:
+        want = count(exact, a)
+        assert count(dense, a) == want, (count.__name__, a)
+        assert count(counts, a) == want, (count.__name__, a)
     assert counts.top(1) == exact.top(1)
     assert counts.top(2) == pytest.approx(exact.top(2), abs=1e-12)
     assert_tops_and_counts(g, spec.describe())
@@ -1157,8 +1152,8 @@ def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
         dense_calls.clear()
         counts = InertiaCounts(g)
         assert counts.top(1) == top1 and counts.top(2) == spec.top(2)
-        for iv in check_intervals(g, (spec.top(2), 0.75 * spec.top(1))):
-            assert m_count(counts, iv) == m_count(spec, iv), iv.describe()
+        for count, x in check_counts(g, (spec.top(2), 0.75 * spec.top(1))):
+            assert count(counts, x) == count(spec, x), (count.__name__, x)
         assert len(dense_calls) == 1
 
 
@@ -1169,10 +1164,11 @@ def test_inertia_counts_zero_pivot_and_small_graphs():
     assert counts.top(1) == 1.0 and counts.top(2) == -1.0  # too small for Lanczos
     with pytest.raises(GraphError):
         counts.top(3)
-    assert m_count(InertiaCounts(build_graph(0, [])), SpectralInterval.closed(-1, 1)) == 0
+    empty = InertiaCounts(build_graph(0, []))
+    assert count_at_most(empty, 1.0) == count_below(empty, -1.0) == 0
     edgeless = InertiaCounts(build_graph(5, []))
     assert edgeless.top(1) == edgeless.top(2) == 0.0
-    assert m_count(edgeless, SpectralInterval.closed(0.0, 0.0)) == 5
+    assert count_at_most(edgeless, 0.0) - count_below(edgeless, 0.0) == 5
 
 
 def test_lambda1_lanczos_has_a_budget(monkeypatch, tmp_path):
