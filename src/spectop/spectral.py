@@ -120,8 +120,11 @@ class Spectrum:
         """Number of computed eigenvalues < sigma (<= sigma when
         ``inclusive``). Each computed value is off by rounding, so at or
         near an exact eigenvalue the two counts can be one off either way:
-        on cycle n = 12 the eigenvalue 2 can be computed just above 2.
+        on cycle n = 12 the eigenvalue 2 can be computed just above 2. A
+        NaN sigma raises :class:`GraphError`.
         """
+        if math.isnan(sigma):
+            raise GraphError("cannot count eigenvalues below NaN")
         side = "right" if inclusive else "left"
         return int(np.searchsorted(self.values, sigma, side=side))
 
@@ -254,20 +257,28 @@ class _HeadTail:
 
     ``order[:h]`` are the head blocks, components of the head's induced
     subgraph laid out contiguously and grouped by order; ``order[h:]`` is
-    the tail. Each group is (its block order s, the blocks' dense matrices
-    (blocks, s, s), each block's largest absolute row sum, and each block's
-    sum of squared weights into the tail). ``indptr`` and ``indices`` are
-    the CSR pattern of the block-diagonal head.
+    the tail. Each group is (its block order s, the blocks' eigenvalues
+    (blocks, s) and eigenvectors (blocks, s, s), computed once per graph,
+    each block's largest absolute row sum, and each block's sum of squared
+    weights into the tail). ``indptr`` and ``indices`` are the CSR pattern
+    of the block-diagonal head. The head of ``_whole`` is empty.
     """
 
     order: np.ndarray
     h: int
-    groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    groups: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     indptr: np.ndarray
     indices: np.ndarray
     head_tail: sp.csr_matrix  # A_FT, h x m
     tail_head: sp.csr_matrix  # A_TF, m x h
     tail: sp.csr_matrix  # A_TT, m x m
+
+
+def _whole(a: sp.csr_matrix) -> _HeadTail:
+    """The split of A in its own order with an empty head: all of A is the tail."""
+    n, none = a.shape[0], np.zeros(0, dtype=np.int64)
+    return _HeadTail(np.arange(n), 0, (), np.zeros(1, dtype=np.int64), none,
+                     sp.csr_matrix((0, n)), sp.csr_matrix((n, 0)), a)
 
 
 def _mmd_order(a: sp.csr_matrix, bound: float) -> np.ndarray:
@@ -380,7 +391,8 @@ def _head_tail(permuted: sp.csr_matrix, order: np.ndarray) -> _HeadTail | None:
         mine = (coo.row >= first) & (coo.row < first + rows)
         r, c = coo.row[mine], coo.col[mine]
         stack[block[r] - b0, local[r], local[c]] = coo.data[mine]
-        groups.append((int(s), stack, np.abs(stack).sum(axis=2).max(axis=1), cut[b0:b0 + nb]))
+        groups.append((int(s), *np.linalg.eigh(stack), np.abs(stack).sum(axis=2).max(axis=1),
+                       cut[b0:b0 + nb]))
     indptr = np.r_[0, np.cumsum(sizes)]
     indices = np.repeat(starts[block], sizes) + np.arange(indptr[-1]) - np.repeat(indptr[:-1], sizes)
     return _HeadTail(order, h, tuple(groups), indptr, indices, head_tail.tocsr(),
@@ -401,12 +413,14 @@ class InertiaCounts:
     paths and cycles (largest degree at most 2) no dense one. Their first
     shift's LU runs MMD itself, which costs less than a separate ordering
     step, and its order is shared from then on. When the order ends in a
-    large dense tail, as on
-    expanders, every shift goes by block elimination first
-    (``_block_pivots``): small head blocks by batched dense eigensolves, the
-    tail's Schur complement by LAPACK's Bunch-Kaufman, the inertias added
-    (Haynsworth). A shift that route does not certify goes through the
-    sparse LU in the shared order, then to the dense spectrum.
+    large dense tail, as on expanders, every shift goes by block
+    elimination first (``_block_pivots``): small head blocks by dense
+    eigendecompositions made once per graph, the tail's Schur complement by
+    LAPACK's Bunch-Kaufman, the inertias added (Haynsworth). A shift that
+    route does not certify goes through the sparse LU in the shared order.
+    Up to ``DEFAULT_SOLVER_CAP`` vertices, a shift the LU refuses too gets
+    a dense Bunch-Kaufman LDL^T of all of A - sigma I, with the same
+    certificate (``_block_pivots`` with the empty head of ``_whole``).
 
     ``top(1)`` of equal row sums c is c, as in :func:`lambda1`. Otherwise
     ``top(k)`` finds lambda_k by plain Lanczos and by shift-invert Lanczos
@@ -416,13 +430,14 @@ class InertiaCounts:
     below ``SHIFT_INVERT_GAP`` B, where plain Lanczos would run out of
     restarts; either order ends in the same certificate.
 
-    The factorizations and Lanczos runs work at any n. The answer comes from
-    the dense spectrum, computed once, when the factorization leaves the
-    diagonal, meets a zero pivot or is not accurate enough to fix the
-    inertia (see ``_negative_pivots``), when both Lanczos runs exhaust their
-    budget or fail the certificate, and when the graph is too small for
-    Lanczos. That dense solve alone is capped: above ``DEFAULT_SOLVER_CAP``
-    vertices such a query raises :class:`SolverCapError` instead.
+    The sparse factorizations and Lanczos runs work at any n. The answer
+    comes from the dense spectrum, computed once, when every factorization
+    refuses a shift (see ``_negative_pivots``), as all do at an exact
+    eigenvalue, where A - sigma I is singular; when both Lanczos runs
+    exhaust their budget or fail the certificate; and when the graph is too
+    small for Lanczos. The dense routes alone are capped: above
+    ``DEFAULT_SOLVER_CAP`` vertices such a query raises
+    :class:`SolverCapError` instead.
     """
 
     def __init__(self, g: WeightedGraph) -> None:
@@ -448,7 +463,33 @@ class InertiaCounts:
 
     def _negative_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
         """Negative pivots of A - sigma I and a unit vector v, or None when
-        the pivots do not certify its inertia.
+        no factorization certifies its inertia.
+
+        Each route certifies as ``_lu_pivots`` does, and v is the last
+        iterate of its inverse iteration, close to an eigenvector of the
+        eigenvalue nearest sigma. A graph that can split (see
+        :class:`InertiaCounts`) gets the shared order first, from
+        ``_mmd_order``. A shift tries ``_block_pivots`` when that order has
+        a head/tail split, then ``_lu_pivots``, then, on at most
+        ``DEFAULT_SOLVER_CAP`` vertices, ``_block_pivots`` on ``_whole``: a
+        dense Bunch-Kaufman LDL^T, whose pivoting steps past the zero and
+        tiny pivots that end the LU (as at the eigenvalues of the small
+        paths that MMD eliminates first).
+        """
+        if self._order is None and self.n > TAIL_MIN and int(np.diff(self.g.indptr).max()) > 2:
+            self._share(_mmd_order(self.g.csr, self._largest_row_sum))
+        if self._order is not None and self._head_tail is not None:
+            entry = self._block_pivots(sigma, self._head_tail)
+            if entry is not None:
+                return entry
+        entry = self._lu_pivots(sigma)
+        if entry is None and self.n <= DEFAULT_SOLVER_CAP:
+            entry = self._block_pivots(sigma, _whole(self.g.csr))
+        return entry
+
+    def _lu_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
+        """``_negative_pivots`` of a shift by a sparse LU with diagonal
+        pivoting, or None when it does not certify the inertia.
 
         Without stability pivoting, the computed factors are the exact
         factors of A - sigma I + E with ``|E|`` up to about eps ``|L||U|``.
@@ -456,22 +497,11 @@ class InertiaCounts:
         below the distance from sigma to the spectrum, 1 / ``||(A - sigma I)^-1||``,
         which a few steps of inverse iteration estimate. Shifts within ~1e-8
         of an interior or multiple eigenvalue fail this test (and did
-        miscount on hypercubes, cycles and tori); shifts near lambda_2 pass it.
-        v is the last iterate, close to an eigenvector of the eigenvalue
-        nearest sigma. A graph that can split (see :class:`InertiaCounts`)
-        gets the shared order first, from ``_mmd_order``; then a shift tries
-        ``_block_pivots`` when that order has a head/tail split, and comes
-        to the LU in the shared order only when that route refuses it. The
-        first shift of any other graph runs MMD in its own LU and shares
-        that order, unless a pivot is exactly zero.
+        miscount on hypercubes, cycles and tori); shifts near lambda_2 pass
+        it. A shift factors in the shared order; without one, its LU runs
+        MMD itself and shares that order, unless a pivot is exactly zero.
         """
-        if self._order is None and self.n > TAIL_MIN and int(np.diff(self.g.indptr).max()) > 2:
-            self._share(_mmd_order(self.g.csr, self._largest_row_sum))
         first = self._order is None
-        if not first and self._head_tail is not None:
-            entry = self._block_pivots(sigma)
-            if entry is not None:
-                return entry
         a = self.g.csr if first else self._permuted
         shifted = (a - sigma * sp.identity(self.n, format="csr")).tocsc()
         try:
@@ -516,51 +546,53 @@ class InertiaCounts:
         """The head/tail split of the shared order (see ``_head_tail``)."""
         return _head_tail(self._permuted, self._order)
 
-    def _block_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
-        """``_negative_pivots`` of a shift by block elimination, or None when
-        it does not certify the inertia.
+    def _block_pivots(self, sigma: float, split: _HeadTail) -> tuple[int, np.ndarray] | None:
+        """``_negative_pivots`` of a shift by block elimination in ``split``,
+        or None when it does not certify the inertia. On the empty head of
+        ``_whole`` this is a dense Bunch-Kaufman LDL^T of A - sigma I.
 
         In the split order, M = A - sigma I is [[H, A_FT], [A_TF, A_TT - sigma I]]
         with H block diagonal, and In(M) = In(H) + In(S) for the Schur
-        complement S = A_TT - sigma I - A_TF H^-1 A_FT (Haynsworth). A batched
-        dense eigensolve per block order gives each head block's inertia and
-        inverse; it is exact for the block perturbed by at most
-        delta = s^2 eps (largest row sum of |block| + |sigma|), and a block
-        whose smallest |eigenvalue| is not above its delta refuses the shift.
+        complement S = A_TT - sigma I - A_TF H^-1 A_FT (Haynsworth). Each
+        head block C's eigendecomposition V diag(w) V^T, made once per graph
+        (``_head_tail``), gives the inertia and inverse of C - sigma I from
+        w - sigma. That is exact for the block perturbed by at most
+        delta = (s^2 + 1) eps (largest row sum of |C| + |sigma|): s^2 eps
+        for the eigensolve, and one rounding of w - sigma. A block whose
+        smallest |w - sigma| is not above its delta refuses the shift.
         S is formed in one dense array and factored in place by LAPACK's
         ``dsytrf`` (Bunch-Kaufman); D's 1 x 1 blocks count by sign, and each
         2 x 2 block, whose determinant is negative, counts one. As in
-        ``_negative_pivots``, the inertia is certified when the backward
-        error stays below 1 / ||M^-1||, which 4 steps of inverse iteration
-        with the block solve estimate. The backward error adds:
+        ``_lu_pivots``, the inertia is certified when the backward error
+        stays below 1 / ||M^-1||, which 4 steps of inverse iteration with
+        the block solve estimate. The backward error adds:
 
         - the largest delta;
         - for each head block C, its squared weights into the tail times
-          (4 s^2 + (2 r + 8) s) eps / (smallest |eigenvalue|), r the longest
+          (4 s^2 + (2 r + 8) s) eps / (smallest |w - sigma|), r the longest
           row of A: the rounding of C's inverse (2 s^2 eps for the
           eigenvectors' loss of orthogonality, as in delta, and (s + 1) s eps
-          for V diag(1/w) V^T) and of the sparse products that form S (sums
-          of at most 2 r + 8 terms, times ||C's inverse||_F, at most
-          s^(1/2) / smallest);
+          for V diag(1 / (w - sigma)) V^T) and of the sparse products that
+          form S (sums of at most 2 r + 8 terms, times ||C's inverse||_F, at
+          most s^(1/2) / smallest);
         - 2 eps ||S||_F for the subtractions that form S;
         - eps sum_k ||L_k||_F^2 ||D_k||_F for the factorization, L_k the
           columns of L at D's k-th block, which bounds eps || |L| |D| |L^T| ||_2
           whatever row interchanges L's columns carry.
         """
-        split = self._head_tail
         n, h = self.n, split.h
         m = n - h
         eps = np.finfo(np.float64).eps
         longest = int(np.diff(self.g.indptr).max())
-        negative, head, formed, parts = 0, 0.0, 0.0, []
-        for s, stack, row_sums, cut in split.groups:
-            w, v = np.linalg.eigh(stack - sigma * np.eye(s))
-            delta = s * s * eps * (row_sums + abs(sigma))
-            smallest = np.abs(w).min(axis=1)
+        negative, head, formed, parts = 0, 0.0, 0.0, [np.zeros(0)]  # one array to concatenate, also for an empty head
+        for s, w, v, row_sums, cut in split.groups:
+            shifted = w - sigma
+            delta = (s * s + 1) * eps * (row_sums + abs(sigma))
+            smallest = np.abs(shifted).min(axis=1)
             if not np.all(smallest > delta):
                 return None
-            negative += int(np.count_nonzero(w < 0))
-            parts.append(((v / w[:, None, :]) @ v.transpose(0, 2, 1)).ravel())
+            negative += int(np.count_nonzero(shifted < 0))
+            parts.append(((v / shifted[:, None, :]) @ v.transpose(0, 2, 1)).ravel())
             head = max(head, float(delta.max()))
             formed += float(np.sum(cut / smallest)) * (4 * s * s + (2 * longest + 8) * s) * eps
         h_inv = sp.csr_matrix((np.concatenate(parts), split.indices, split.indptr), shape=(h, h))
@@ -609,10 +641,14 @@ class InertiaCounts:
         Exact at a shift whose factorization is certified: sigma is then no
         eigenvalue, so the two counts agree. A shift strictly outside
         [-B, B], B the largest row sum, is no eigenvalue either and needs no
-        factorization: the count is 0 below -B and n above B. A refused
-        shift, such as an exact eigenvalue, gets the dense spectrum's count
+        factorization: the count is 0 below -B and n above B. A shift that
+        every factorization refuses (see ``_negative_pivots``), such as an
+        exact eigenvalue, gets the dense spectrum's count
         (:meth:`Spectrum.below`), which rounding can put one off either way.
+        A NaN sigma raises :class:`GraphError`.
         """
+        if math.isnan(sigma):
+            raise GraphError("cannot count eigenvalues below NaN")
         if sigma not in self._below:
             # n eps covers the rounding of the row sums and of this product
             if abs(sigma) > self._largest_row_sum * (1.0 + self.n * np.finfo(np.float64).eps):

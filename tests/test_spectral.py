@@ -39,7 +39,15 @@ from spectop import (
 )
 from spectop import spectral
 from spectop.bounds import thm_checker
-from spectop.cli import EN_ROUTE_THETA_CAP, _second_eig, en_route_finite_param, graph_provider, main
+from spectop.cli import (
+    EN_ROUTE_THETA_CAP,
+    ExperimentConfig,
+    _second_eig,
+    en_route_finite_param,
+    graph_provider,
+    main,
+    sweep_rows,
+)
 from spectop.rng import rng_for, trial_seed
 from spectop.spectral import TOL_EIG
 
@@ -94,8 +102,9 @@ def test_eigenvalues_respects_cap():
     g = generate(FamilySpec("cycle", n=12))
     with pytest.raises(SolverCapError):
         eigenvalues(g, cap=11)
-    # a count at a refused shift (lambda_1 = 2) falls back to the dense
-    # spectrum, which InertiaCounts computes only up to the default cap
+    # lambda_1 = 2 is an exact eigenvalue, so every factorization, the dense
+    # LDL^T too, refuses it; the count falls back to the dense spectrum,
+    # which InertiaCounts computes only up to the default cap
     counts = InertiaCounts(g)
     assert counts.below(2.0) == eigenvalues(g).below(2.0)
     assert counts._below[2.0] is None
@@ -844,13 +853,16 @@ def test_the_fill_bound_of_the_last_columns(spec):
 # -- block elimination of later shifts -----------------------------------------
 
 
-def recorded_block_pivots(mp):
-    """Patch ``InertiaCounts._block_pivots`` to record (shift, count or None)."""
+def recorded_block_pivots(mp, whole=False):
+    """Patch ``InertiaCounts._block_pivots`` to record (shift, count or None)
+    of its calls on a head/tail split, or on the empty head of the dense
+    LDL^T when ``whole``."""
     real, calls = InertiaCounts._block_pivots, []
 
-    def recorded(self, sigma):
-        entry = real(self, sigma)
-        calls.append((sigma, None if entry is None else entry[0]))
+    def recorded(self, sigma, split):
+        entry = real(self, sigma, split)
+        if (split.h == 0) == whole:
+            calls.append((sigma, None if entry is None else entry[0]))
         return entry
 
     mp.setattr(InertiaCounts, "_block_pivots", recorded)
@@ -914,7 +926,8 @@ def test_the_rr4_4096_sweep_row_counts_every_shift_by_block_elimination(monkeypa
 def test_a_refused_block_shift_goes_to_the_shared_order_lu(monkeypatch):
     """sigma = 0 is an exact eigenvalue of every one-vertex head block, so
     the block route refuses it; the sparse LU in the shared order runs
-    next, and the count is the dense spectrum's."""
+    next and refuses it too, and the dense LDL^T certifies the dense
+    spectrum's count."""
     g = generate(FamilySpec("random-regular", n=200, d=4, seed=3))
     monkeypatch.setattr(spectral, "TAIL_MIN", 1)
     monkeypatch.setattr(spectral, "TAIL_FILL", 0.0)
@@ -923,9 +936,10 @@ def test_a_refused_block_shift_goes_to_the_shared_order_lu(monkeypatch):
     counts.below(0.5)
     assert counts._head_tail.groups[0][0] == 1
     calls = recorded_block_pivots(monkeypatch)
+    dense = recorded_block_pivots(monkeypatch, whole=True)
     orderings, _ = recorded_factorizations(monkeypatch)
-    assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0)
-    assert calls == [(0.0, None)] and orderings == ["NATURAL"]
+    assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0) == 101
+    assert calls == [(0.0, None)] and orderings == ["NATURAL"] and dense == [(0.0, 101)]
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("cycle", n=4096), FamilySpec("torus-grid", dims=(64, 64)),
@@ -960,7 +974,7 @@ def test_a_block_shift_holds_one_tail_sized_array():
     m = g.n - counts._head_tail.h
     tracemalloc.start()
     try:
-        assert counts._block_pivots(0.456) is not None
+        assert counts._block_pivots(0.456, counts._head_tail) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1123,9 +1137,10 @@ def test_block_route_at_exact_eigenvalues(spec, values, monkeypatch):
 
 
 def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
-    """A factorization off the diagonal and a Lanczos that never converges
+    """A sparse LU off the diagonal and a Lanczos that never converges
     leave every count and top eigenvalue as the dense spectrum has them,
-    except top(1) of equal row sums, which needs neither."""
+    except top(1) of equal row sums, which needs neither. The one dense
+    solve is top's; the dense LDL^T certifies every count."""
     irregular = random_connected_graph(7, n_min=60, n_max=60, weighted=True)
     graphs = [corpus[7][1], irregular]  # random-regular n=150 d=4
     spectra = [eigenvalues(g, compute_residual=False) for g in graphs]
@@ -1152,9 +1167,105 @@ def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
         dense_calls.clear()
         counts = InertiaCounts(g)
         assert counts.top(1) == top1 and counts.top(2) == spec.top(2)
+        assert len(dense_calls) == 1
         for count, x in check_counts(g, (spec.top(2), 0.75 * spec.top(1))):
             assert count(counts, x) == count(spec, x), (count.__name__, x)
         assert len(dense_calls) == 1
+        assert all(entry is not None for entry in counts._below.values())
+
+
+# -- the dense LDL^T of a shift the sparse LU refuses ---------------------------
+
+
+def no_spectrum(mp):
+    mp.setattr(spectral, "eigenvalues", lambda *args, **kwargs: pytest.fail("computed a dense spectrum"))
+
+
+def cycle_and_closed_form(n):
+    return generate(FamilySpec("cycle", n=n)), 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+@given(st.one_of(graphs.map(lambda g: (g, np.zeros(0))), st.integers(3, 48).map(cycle_and_closed_form)))
+def test_the_dense_ldlt_refuses_or_counts_as_the_dense_spectrum(graph_and_exact):
+    """At each eigenvalue +- 1e-9, 1e-8 and 1e-6, and at a cycle's
+    eigenvalues in closed form, the dense LDL^T either refuses the shift or
+    gives the dense spectrum's count."""
+    g, exact = graph_and_exact
+    assume(g.n > 0)
+    spec = eigenvalues(g, compute_residual=False)
+    counts = InertiaCounts(g)
+    offsets = np.array([-1e-6, -1e-8, -1e-9, 1e-9, 1e-8, 1e-6])
+    for sigma in [*(np.unique(spec.values)[:, None] + offsets).ravel(), *np.unique(exact)]:
+        entry = counts._block_pivots(sigma, spectral._whole(g.csr))
+        assert entry is None or entry[0] == spec.below(sigma), sigma
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_cycle_counts_next_to_a_double_eigenvalue_need_no_spectrum(n, monkeypatch):
+    """0 is a double eigenvalue of these cycles: the counts 1e-8 from it are
+    the closed form's, with no dense spectrum."""
+    g, closed = cycle_and_closed_form(n)
+    no_spectrum(monkeypatch)
+    counts = InertiaCounts(g)
+    for sigma in (-1e-8, 1e-8):
+        assert counts.below(sigma) == np.count_nonzero(closed < sigma), sigma
+
+
+def test_the_sweep_rows_need_no_dense_spectrum(tmp_path, monkeypatch):
+    """Criterion 11's rows as they were when a shift the sparse LU refused
+    went to the dense spectrum (cycle n = 1024 at -1e-8)."""
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(suite="second-eig", seed=17, families=(CYCLE, RR4), grid={"n": SWEEP_SIZES})
+    real = InertiaCounts._block_pivots
+    with monkeypatch.context() as mp:
+        mp.setattr(InertiaCounts, "_block_pivots",
+                   lambda self, sigma, split: real(self, sigma, split) if split.h else None)
+        reference = sweep_rows(cfg, 1)
+    no_spectrum(monkeypatch)
+    assert sweep_rows(cfg, 1) == reference
+
+
+def test_later_block_shifts_make_no_eigensolve(monkeypatch):
+    """The head blocks are eigendecomposed once, when the first shift splits
+    the order; a later shift reuses them."""
+    g, _ = sweep_row_graph(RR4, 2048)
+    counts = InertiaCounts(g)
+    counts.below(0.123)
+    calls = recorded_block_pivots(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigendecomposed a head block"))
+    vals = eigenvalues(g, compute_residual=False)
+    for sigma in (0.456, -1.5, 3.2):
+        assert counts.below(sigma) == vals.below(sigma)
+    assert [sigma for sigma, count in calls if count is not None] == [0.456, -1.5, 3.2]
+
+
+@pytest.mark.parametrize("cap, dense", [(200, [(0.0, 101)]), (199, [])], ids=["at-the-cap", "above-it"])
+def test_the_dense_ldlt_runs_up_to_the_cap(cap, dense, monkeypatch):
+    """The sparse LU refuses rr4 n = 200 at 0; the dense LDL^T certifies
+    that count on at most DEFAULT_SOLVER_CAP vertices and is not tried
+    above, where the count is the dense spectrum's."""
+    g = generate(FamilySpec("random-regular", n=200, d=4, seed=3))
+    monkeypatch.setattr(spectral, "DEFAULT_SOLVER_CAP", cap)
+    calls = recorded_block_pivots(monkeypatch, whole=True)
+    counts = InertiaCounts(g)
+    assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0) == 101
+    assert calls == dense and (counts._below[0.0] is None) == (not dense)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("cycle", n=12), FamilySpec("random-regular", n=700, d=4, seed=1)],
+                         ids=lambda spec: spec.describe())
+def test_a_nan_point_raises_before_anything_is_factored(spec, monkeypatch):
+    g = generate(spec)
+    counts = InertiaCounts(g)
+    for name in ("splu", "spilu"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, lambda *args, **kwargs: pytest.fail("factored"))
+    no_spectrum(monkeypatch)
+    for count in (count_at_most, count_below, InertiaCounts.below, Spectrum.below):
+        with pytest.raises(GraphError, match="NaN"):
+            count(Spectrum(np.zeros(g.n), 0.0) if count is Spectrum.below else counts, math.nan)
+    assert counts._below == {}
+    assert count_at_most(counts, -math.inf) == count_below(counts, -math.inf) == 0
+    assert count_at_most(counts, math.inf) == count_below(counts, math.inf) == g.n
 
 
 def test_inertia_counts_zero_pivot_and_small_graphs():
