@@ -909,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("net", help="build an r-net")
     add_graph_args(sp)
-    sp.add_argument("--method", choices=["greedy-tree", "expander-random"], default="greedy-tree")
+    sp.add_argument("--method", choices=NET_METHODS, default="greedy-tree")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--p", type=float, help="seed density for expander-random")
     sp.add_argument("--seed", type=int, default=0)

@@ -79,7 +79,7 @@ class LocalLabels:
     @classmethod
     def from_values(cls, values) -> "LocalLabels":
         arr = np.asarray(values, dtype=np.float64)
-        if ((arr < 0) | (arr >= 1)).any():
+        if not ((arr >= 0) & (arr < 1)).all():  # NaN fails too
             raise GraphError("labels must lie in [0, 1)")
         return cls(arr, None)
 
@@ -337,7 +337,7 @@ def mtp_check(
         mat = np.asarray(transport, dtype=np.float64)
         if mat.shape != (n, n):
             raise GraphError("transport matrix must be n x n")
-    if (mat < 0).any():
+    if not (mat >= 0).all():  # NaN fails too
         raise GraphError("transport values must be nonnegative")
     by_rows = math.fsum(math.fsum(row) for row in mat.tolist())
     by_cols = math.fsum(math.fsum(col) for col in mat.T.tolist())

@@ -154,6 +154,7 @@ def _tree_net(
     and deletes u's branch; one layer's marks fall on distinct branches, so
     the order inside a layer does not matter.  Then a tree's root is marked
     if a vertex left in it is further than r from the marks along ``adj``.
+    No climb goes past a root, so the time is bounded whatever r is.
     """
     mark = bytearray(len(parent))
     up = parent.tolist()
@@ -170,7 +171,7 @@ def _tree_net(
         return net
     near = np.concatenate(layers[: r + 1])
     root, left = near, ~net[near]
-    for _ in range(r):
+    for _ in range(min(r, len(layers) - 1)):  # a root is its own parent
         root = parent[root]
         left &= ~net[root]
     covered = _covered(adj, net, r)

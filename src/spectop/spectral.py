@@ -402,25 +402,29 @@ def _head_tail(permuted: sp.csr_matrix, order: np.ndarray) -> _HeadTail | None:
 class InertiaCounts:
     """Eigenvalue counts and top eigenvalues without a full spectrum.
 
-    ``below(sigma)`` is the number of negative pivots of A - sigma I in a
-    sparse LU with diagonal pivoting, which by Sylvester's law of inertia is
-    the number of eigenvalues < sigma; it is computed once per shift, every
-    shift in one fill-reducing (MMD) order shared by the graph (a symmetric
-    permutation keeps the inertia). A graph of more than ``TAIL_MIN``
-    vertices and largest degree 3 or more gets that order before its first
-    shift, from SuperLU's ordering step alone (``_mmd_order``), once. Other
-    graphs cannot split (below): smaller ones have no tail of ``TAIL_MIN``,
-    paths and cycles (largest degree at most 2) no dense one. Their first
-    shift's LU runs MMD itself, which costs less than a separate ordering
-    step, and its order is shared from then on. When the order ends in a
-    large dense tail, as on expanders, every shift goes by block
-    elimination first (``_block_pivots``): small head blocks by dense
-    eigendecompositions made once per graph, the tail's Schur complement by
-    LAPACK's Bunch-Kaufman, the inertias added (Haynsworth). A shift that
-    route does not certify goes through the sparse LU in the shared order.
-    Up to ``DEFAULT_SOLVER_CAP`` vertices, a shift the LU refuses too gets
-    a dense Bunch-Kaufman LDL^T of all of A - sigma I, with the same
-    certificate (``_block_pivots`` with the empty head of ``_whole``).
+    ``below(sigma)`` is the number of negative pivots of a factorization of
+    A - sigma I that ``_certify`` certifies, which by Sylvester's law of
+    inertia is the number of eigenvalues < sigma; it is computed once per
+    shift, every shift in one fill-reducing (MMD) order shared by the graph
+    (a symmetric permutation keeps the inertia). A graph of more than
+    ``TAIL_MIN`` vertices and largest degree 3 or more gets that order
+    before its first shift, from SuperLU's ordering step alone
+    (``_mmd_order``), once. Other graphs cannot split (below): smaller ones
+    have no tail of ``TAIL_MIN``, paths and cycles (largest degree at most
+    2) no dense one. Their first shift's LU runs MMD itself, which costs
+    less than a separate ordering step, and its order is shared from then
+    on. A shift takes the count of the first route certified, in this order:
+
+    1. when the order ends in a large dense tail, as on expanders, block
+       elimination (``_block_pivots``): small head blocks by dense
+       eigendecompositions made once per graph, the tail's Schur complement
+       by LAPACK's Bunch-Kaufman, the inertias added (Haynsworth);
+    2. the sparse LU (``_lu_pivots``) with diagonal pivoting in the shared order;
+    3. up to ``DEFAULT_SOLVER_CAP`` vertices, a dense Bunch-Kaufman LDL^T of
+       all of A - sigma I (``_block_pivots`` on the empty head of
+       ``_whole``), whose pivoting steps past the zero and tiny pivots that
+       end the LU (as at the eigenvalues of the small paths MMD eliminates
+       first).
 
     ``top(1)`` of equal row sums c is c, as in :func:`lambda1`. Otherwise
     ``top(k)`` finds lambda_k by plain Lanczos and by shift-invert Lanczos
@@ -431,13 +435,12 @@ class InertiaCounts:
     restarts; either order ends in the same certificate.
 
     The sparse factorizations and Lanczos runs work at any n. The answer
-    comes from the dense spectrum, computed once, when every factorization
-    refuses a shift (see ``_negative_pivots``), as all do at an exact
-    eigenvalue, where A - sigma I is singular; when both Lanczos runs
-    exhaust their budget or fail the certificate; and when the graph is too
-    small for Lanczos. The dense routes alone are capped: above
-    ``DEFAULT_SOLVER_CAP`` vertices such a query raises
-    :class:`SolverCapError` instead.
+    comes from the dense spectrum, computed once, when every route refuses
+    a shift, as all do at an exact eigenvalue, where A - sigma I is
+    singular; when both Lanczos runs exhaust their budget or fail the
+    certificate; and when the graph is too small for Lanczos. The dense
+    routes alone are capped: above ``DEFAULT_SOLVER_CAP`` vertices such a
+    query raises :class:`SolverCapError` instead.
     """
 
     def __init__(self, g: WeightedGraph) -> None:
@@ -462,44 +465,59 @@ class InertiaCounts:
         return self._spectrum
 
     def _negative_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
-        """Negative pivots of A - sigma I and a unit vector v, or None when
-        no factorization certifies its inertia.
-
-        Each route certifies as ``_lu_pivots`` does, and v is the last
-        iterate of its inverse iteration, close to an eigenvector of the
-        eigenvalue nearest sigma. A graph that can split (see
-        :class:`InertiaCounts`) gets the shared order first, from
-        ``_mmd_order``. A shift tries ``_block_pivots`` when that order has
-        a head/tail split, then ``_lu_pivots``, then, on at most
-        ``DEFAULT_SOLVER_CAP`` vertices, ``_block_pivots`` on ``_whole``: a
-        dense Bunch-Kaufman LDL^T, whose pivoting steps past the zero and
-        tiny pivots that end the LU (as at the eigenvalues of the small
-        paths that MMD eliminates first).
-        """
+        """Negative pivots of A - sigma I and a unit vector near an
+        eigenvector of the eigenvalue nearest sigma, from the first route
+        (see :class:`InertiaCounts`) ``_certify`` certifies, or None."""
         if self._order is None and self.n > TAIL_MIN and int(np.diff(self.g.indptr).max()) > 2:
             self._share(_mmd_order(self.g.csr, self._largest_row_sum))
+        routes = [lambda: self._lu_pivots(sigma)]
         if self._order is not None and self._head_tail is not None:
-            entry = self._block_pivots(sigma, self._head_tail)
+            routes.insert(0, lambda: self._block_pivots(sigma, self._head_tail))
+        if self.n <= DEFAULT_SOLVER_CAP:
+            routes.append(lambda: self._block_pivots(sigma, _whole(self.g.csr)))
+        for route in routes:
+            entry = self._certify(route())
             if entry is not None:
                 return entry
-        entry = self._lu_pivots(sigma)
-        if entry is None and self.n <= DEFAULT_SOLVER_CAP:
-            entry = self._block_pivots(sigma, _whole(self.g.csr))
-        return entry
+        return None
 
-    def _lu_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
-        """``_negative_pivots`` of a shift by a sparse LU with diagonal
-        pivoting, or None when it does not certify the inertia.
+    def _certify(self, factored: tuple | None) -> tuple[int, np.ndarray] | None:
+        """The negative pivots of a route's factorization and its last
+        inverse-iteration vector in A's order, or None when it was refused
+        (None) or not certified.
+
+        ``factored`` is (negative pivots, elimination order, solve, backward):
+        the exact factors of A - sigma I + E in that order, with ``||E||`` at
+        most ``backward``, and a solve with them. The pivot signs give the
+        inertia of A - sigma I when ``||E||`` is below the distance from sigma
+        to the spectrum, 1 / ``||(A - sigma I)^-1||``, which 4 steps of
+        inverse iteration from one fixed vector of A estimate. Shifts within
+        ~1e-8 of an interior or multiple eigenvalue fail this test, which
+        keeps them from miscounting; shifts near lambda_2 pass it.
+        """
+        if factored is None:
+            return None
+        negative, order, solve, backward = factored
+        v = np.random.default_rng(0).standard_normal(self.n)[order]
+        v /= np.linalg.norm(v)
+        for _ in range(4):
+            w = solve(v)
+            inverse_norm = np.linalg.norm(w)
+            v = w / inverse_norm
+        if not backward * inverse_norm < 1.0:  # also when the solve overflowed
+            return None
+        vector = np.empty(self.n)
+        vector[order] = v
+        return negative, vector
+
+    def _lu_pivots(self, sigma: float) -> tuple | None:
+        """A - sigma I factored for ``_certify`` by a sparse LU with diagonal
+        pivoting, or None when a pivot is exactly zero or a row moved.
 
         Without stability pivoting, the computed factors are the exact
         factors of A - sigma I + E with ``|E|`` up to about eps ``|L||U|``.
-        Their pivot signs give the inertia of A - sigma I when ``||E||`` is
-        below the distance from sigma to the spectrum, 1 / ``||(A - sigma I)^-1||``,
-        which a few steps of inverse iteration estimate. Shifts within ~1e-8
-        of an interior or multiple eigenvalue fail this test (and did
-        miscount on hypercubes, cycles and tori); shifts near lambda_2 pass
-        it. A shift factors in the shared order; without one, its LU runs
-        MMD itself and shares that order, unless a pivot is exactly zero.
+        A shift factors in the shared order; without one, its LU runs MMD
+        itself and shares that order, unless a pivot is exactly zero.
         """
         first = self._order is None
         a = self.g.csr if first else self._permuted
@@ -522,19 +540,9 @@ class InertiaCounts:
                 (np.abs(factor.data), factor.indices, factor.indptr), shape=factor.shape
             ) @ row_sums
         backward = np.finfo(np.float64).eps * np.max(row_sums)
-        # the start vector in the factored matrix's coordinates
+        # splu's own MMD permutes inside the solve: the first LU's coordinates are A's
         order = np.arange(self.n) if first else self._order
-        v = np.random.default_rng(0).standard_normal(self.n)[order]
-        v /= np.linalg.norm(v)
-        for _ in range(4):
-            w = lu.solve(v)
-            inverse_norm = np.linalg.norm(w)
-            v = w / inverse_norm
-        if not backward * inverse_norm < 1.0:  # also when the solve overflowed
-            return None
-        vector = np.empty(self.n)
-        vector[order] = v
-        return int(np.count_nonzero(lu.U.diagonal() < 0)), vector
+        return int(np.count_nonzero(lu.U.diagonal() < 0)), order, lu.solve, backward
 
     def _share(self, order: np.ndarray) -> None:
         """Make ``order`` the elimination order of every later shift."""
@@ -546,9 +554,9 @@ class InertiaCounts:
         """The head/tail split of the shared order (see ``_head_tail``)."""
         return _head_tail(self._permuted, self._order)
 
-    def _block_pivots(self, sigma: float, split: _HeadTail) -> tuple[int, np.ndarray] | None:
-        """``_negative_pivots`` of a shift by block elimination in ``split``,
-        or None when it does not certify the inertia. On the empty head of
+    def _block_pivots(self, sigma: float, split: _HeadTail) -> tuple | None:
+        """A - sigma I factored for ``_certify`` by block elimination in
+        ``split``, or None when it is refused (below). On the empty head of
         ``_whole`` this is a dense Bunch-Kaufman LDL^T of A - sigma I.
 
         In the split order, M = A - sigma I is [[H, A_FT], [A_TF, A_TT - sigma I]]
@@ -562,10 +570,8 @@ class InertiaCounts:
         smallest |w - sigma| is not above its delta refuses the shift.
         S is formed in one dense array and factored in place by LAPACK's
         ``dsytrf`` (Bunch-Kaufman); D's 1 x 1 blocks count by sign, and each
-        2 x 2 block, whose determinant is negative, counts one. As in
-        ``_lu_pivots``, the inertia is certified when the backward error
-        stays below 1 / ||M^-1||, which 4 steps of inverse iteration with
-        the block solve estimate. The backward error adds:
+        2 x 2 block counts one, but a 2 x 2 block that is not indefinite, or
+        a failed ``dsytrf``, refuses the shift. The backward error adds:
 
         - the largest delta;
         - for each head block C, its squared weights into the tail times
@@ -580,8 +586,8 @@ class InertiaCounts:
           columns of L at D's k-th block, which bounds eps || |L| |D| |L^T| ||_2
           whatever row interchanges L's columns carry.
         """
-        n, h = self.n, split.h
-        m = n - h
+        h = split.h
+        m = self.n - h
         eps = np.finfo(np.float64).eps
         longest = int(np.diff(self.g.indptr).max())
         negative, head, formed, parts = 0, 0.0, 0.0, [np.zeros(0)]  # one array to concatenate, also for an empty head
@@ -621,19 +627,13 @@ class InertiaCounts:
         d_norm = np.abs(d)
         d_norm[pairs] = np.sqrt(d[pairs] ** 2 + 2.0 * off * off + d[pairs + 1] ** 2)
         factored = eps * float(norms[single] @ d_norm[single] + norms[pairs] @ d_norm[pairs])
-        v = np.random.default_rng(0).standard_normal(n)[split.order]
-        v /= np.linalg.norm(v)
-        for _ in range(4):
+
+        def solve(v: np.ndarray) -> np.ndarray:
             y = h_inv @ v[:h]
             x, _ = scipy.linalg.lapack.dsytrs(ldu, ipiv, v[h:] - split.tail_head @ y, lower=1)
-            w = np.concatenate([y - h_inv @ (split.head_tail @ x), x])
-            inverse_norm = np.linalg.norm(w)
-            v = w / inverse_norm
-        if not (head + formed + factored) * inverse_norm < 1.0:
-            return None
-        vector = np.empty(n)
-        vector[split.order] = v
-        return negative, vector
+            return np.concatenate([y - h_inv @ (split.head_tail @ x), x])
+
+        return negative, split.order, solve, head + formed + factored
 
     def below(self, sigma: float, inclusive: bool = False) -> int:
         """Number of eigenvalues < sigma (<= sigma when ``inclusive``).
@@ -642,10 +642,9 @@ class InertiaCounts:
         eigenvalue, so the two counts agree. A shift strictly outside
         [-B, B], B the largest row sum, is no eigenvalue either and needs no
         factorization: the count is 0 below -B and n above B. A shift that
-        every factorization refuses (see ``_negative_pivots``), such as an
-        exact eigenvalue, gets the dense spectrum's count
-        (:meth:`Spectrum.below`), which rounding can put one off either way.
-        A NaN sigma raises :class:`GraphError`.
+        every route refuses, such as an exact eigenvalue, gets the dense
+        spectrum's count (:meth:`Spectrum.below`), which rounding can put one
+        off either way. A NaN sigma raises :class:`GraphError`.
         """
         if math.isnan(sigma):
             raise GraphError("cannot count eigenvalues below NaN")

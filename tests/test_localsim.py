@@ -57,8 +57,9 @@ def test_labels_do_not_depend_on_graph_size():
 
 
 def test_labels_from_values_validates_range():
-    with pytest.raises(Exception):
-        LocalLabels.from_values([0.5, 1.0])
+    for bad in (1.0, -0.25, math.nan):
+        with pytest.raises(Exception):
+            LocalLabels.from_values([0.5, bad])
     ok = LocalLabels.from_values([0.0, 0.25])
     assert ok.seed is None
 
@@ -326,10 +327,11 @@ def test_mtp_on_random_nonnegative_transport(seed):
 
 
 def test_mtp_rejects_negative_entries(cycle12):
-    f = np.zeros((12, 12))
-    f[0, 1] = -1.0
-    with pytest.raises(Exception):
-        mtp_check(cycle12, f)
+    for bad in (-1.0, math.nan):
+        f = np.zeros((12, 12))
+        f[0, 1] = bad
+        with pytest.raises(Exception, match="nonnegative"):
+            mtp_check(cycle12, f)
 
 
 def test_transcript_is_deterministic_json(cycle12):

@@ -120,7 +120,7 @@ def reference_greedy_tree_net(g, r, priority=None):
     return tuple(sorted(net))
 
 
-@pytest.mark.parametrize("r", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 10**9])
 def test_greedy_net_matches_the_reference_on_the_corpus(corpus, r):
     for i, (name, g) in enumerate(corpus):
         for priority in (None, rng_for(900 + 10 * i + r).random(g.n)):

@@ -854,18 +854,25 @@ def test_the_fill_bound_of_the_last_columns(spec):
 
 
 def recorded_block_pivots(mp, whole=False):
-    """Patch ``InertiaCounts._block_pivots`` to record (shift, count or None)
-    of its calls on a head/tail split, or on the empty head of the dense
-    LDL^T when ``whole``."""
-    real, calls = InertiaCounts._block_pivots, []
+    """Patch ``InertiaCounts._block_pivots`` and ``_certify`` to record
+    (shift, certified count or None) of the block route's shifts on a
+    head/tail split, or on the empty head of the dense LDL^T when
+    ``whole``. Each route's factorization goes to ``_certify`` next."""
+    real_pivots, real_certify, calls, pending = InertiaCounts._block_pivots, InertiaCounts._certify, [], []
 
-    def recorded(self, sigma, split):
-        entry = real(self, sigma, split)
+    def pivots(self, sigma, split):
         if (split.h == 0) == whole:
-            calls.append((sigma, None if entry is None else entry[0]))
+            pending.append(sigma)
+        return real_pivots(self, sigma, split)
+
+    def certify(self, factored):
+        entry = real_certify(self, factored)
+        if pending:
+            calls.append((pending.pop(), None if entry is None else entry[0]))
         return entry
 
-    mp.setattr(InertiaCounts, "_block_pivots", recorded)
+    mp.setattr(InertiaCounts, "_block_pivots", pivots)
+    mp.setattr(InertiaCounts, "_certify", certify)
     return calls
 
 
@@ -974,7 +981,7 @@ def test_a_block_shift_holds_one_tail_sized_array():
     m = g.n - counts._head_tail.h
     tracemalloc.start()
     try:
-        assert counts._block_pivots(0.456, counts._head_tail) is not None
+        assert counts._certify(counts._block_pivots(0.456, counts._head_tail)) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1188,15 +1195,15 @@ def cycle_and_closed_form(n):
 @given(st.one_of(graphs.map(lambda g: (g, np.zeros(0))), st.integers(3, 48).map(cycle_and_closed_form)))
 def test_the_dense_ldlt_refuses_or_counts_as_the_dense_spectrum(graph_and_exact):
     """At each eigenvalue +- 1e-9, 1e-8 and 1e-6, and at a cycle's
-    eigenvalues in closed form, the dense LDL^T either refuses the shift or
-    gives the dense spectrum's count."""
+    eigenvalues in closed form, the dense LDL^T and its certificate either
+    refuse the shift or give the dense spectrum's count."""
     g, exact = graph_and_exact
     assume(g.n > 0)
     spec = eigenvalues(g, compute_residual=False)
     counts = InertiaCounts(g)
     offsets = np.array([-1e-6, -1e-8, -1e-9, 1e-9, 1e-8, 1e-6])
     for sigma in [*(np.unique(spec.values)[:, None] + offsets).ravel(), *np.unique(exact)]:
-        entry = counts._block_pivots(sigma, spectral._whole(g.csr))
+        entry = counts._certify(counts._block_pivots(sigma, spectral._whole(g.csr)))
         assert entry is None or entry[0] == spec.below(sigma), sigma
 
 
@@ -1213,7 +1220,8 @@ def test_cycle_counts_next_to_a_double_eigenvalue_need_no_spectrum(n, monkeypatc
 
 def test_the_sweep_rows_need_no_dense_spectrum(tmp_path, monkeypatch):
     """Criterion 11's rows as they were when a shift the sparse LU refused
-    went to the dense spectrum (cycle n = 1024 at -1e-8)."""
+    went to the dense spectrum (cycle n = 1024 at -1e-8): the reference
+    refuses the dense LDL^T's factorization, so no certificate runs on it."""
     monkeypatch.chdir(tmp_path)
     cfg = ExperimentConfig(suite="second-eig", seed=17, families=(CYCLE, RR4), grid={"n": SWEEP_SIZES})
     real = InertiaCounts._block_pivots
@@ -1250,6 +1258,45 @@ def test_the_dense_ldlt_runs_up_to_the_cap(cap, dense, monkeypatch):
     counts = InertiaCounts(g)
     assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0) == 101
     assert calls == dense and (counts._below[0.0] is None) == (not dense)
+
+
+@pytest.mark.parametrize("n, sigma, refused, tried", [
+    (700, 0.123, 0, ["block"]),
+    (700, 0.123, 1, ["block", "lu"]),
+    (700, 0.123, 2, ["block", "lu", "ldlt"]),
+    (700, 0.123, 3, ["block", "lu", "ldlt"]),
+    (200, 0.0, 0, ["lu", "ldlt"]),
+    (200, 0.0, 1, ["lu", "ldlt"]),
+], ids=["rr4-700-block", "rr4-700-lu", "rr4-700-ldlt", "rr4-700-spectrum", "rr4-200-ldlt", "rr4-200-spectrum"])
+def test_a_refused_certificate_falls_through_to_the_next_route(n, sigma, refused, tried, monkeypatch):
+    """``_certify`` refuses the first ``refused`` factorizations, and the
+    count goes to the next route in order: block elimination, the sparse
+    LU, the dense LDL^T, then the dense spectrum. rr4 n = 700, split with
+    the thresholds lowered, factors 0.123 on every route; on rr4 n = 200 the
+    sparse LU refuses 0 before any certificate. Every count is the dense
+    spectrum's."""
+    g = generate(FamilySpec("random-regular", n=n, d=4, seed=1 if n == 700 else 3))
+    if n == 700:
+        monkeypatch.setattr(spectral, "TAIL_MIN", 1)
+        monkeypatch.setattr(spectral, "TAIL_FILL", 0.0)
+    real_lu, real_block, real_certify = InertiaCounts._lu_pivots, InertiaCounts._block_pivots, InertiaCounts._certify
+    routes, seen = [], []  # the routes called, and the factorizations they made
+
+    def certify(self, factored):
+        if factored is not None:
+            seen.append(factored)
+            if len(seen) <= refused:
+                return None
+        return real_certify(self, factored)
+
+    monkeypatch.setattr(InertiaCounts, "_lu_pivots", lambda self, s: routes.append("lu") or real_lu(self, s))
+    monkeypatch.setattr(InertiaCounts, "_block_pivots", lambda self, s, split:
+                        routes.append("block" if split.h else "ldlt") or real_block(self, s, split))
+    monkeypatch.setattr(InertiaCounts, "_certify", certify)
+    counts = InertiaCounts(g)
+    assert counts.below(sigma) == eigenvalues(g, compute_residual=False).below(sigma)
+    assert routes == tried
+    assert (counts._below[sigma] is None) == (refused == len(seen))
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("cycle", n=12), FamilySpec("random-regular", n=700, d=4, seed=1)],
