@@ -2,8 +2,10 @@
 
 Eigenvalue counting is the measurement side of every inequality in the
 package: ``count_at_most`` and ``count_below`` for window and tail masses,
-``trace_power`` for walk sums, ``lambda1`` for spectral radii of graphs and
-balls.  Each count rounds in a named direction by the shared tolerance
+``trace_power`` for walk sums, ``lambda1`` and ``lambda1_balls`` for the
+spectral radii of graphs and balls (one Collatz-Wielandt iteration,
+``_power_tops``, for balls and for the components of a graph above
+``DENSE_TOP_MAX`` vertices).  Each count rounds in a named direction by
 ``TOL_EIG``: ``count_at_most`` reads high and ``count_below`` reads low, so
 that exact multiplicities (cycle spectra, hypercubes) land on the intended
 side.
@@ -71,6 +73,14 @@ BALL_CW_WIDTH = 1e-10
 BALL_POWER_BUDGET = 2000
 BALL_FILTER_DEGREE = 8
 BALL_FILTER_CUT = 0.9
+
+# ``lambda1`` of an irregular graph: a dense top-only solve up to this order,
+# ``_power_tops`` on its components above it. On the 503 irregular G - W of a
+# rad-drop pass (seed 0, one BLAS thread), median ms dense against components:
+# 4.8/0.8 at n=350-387, 2.8/0.8 at 300-350, 2.1/1.1 at 250-300, 1.4/1.4 at
+# 200-250, 0.8/3.7 at 150-200, 0.04/0.6 under 50. All 503 took 0.29 s dense,
+# 0.18-0.20 s with the cut at 200 or 256 and 0.24 s at 320.
+DENSE_TOP_MAX = 256
 
 # Block elimination (``InertiaCounts``). The head of the shared elimination
 # order is its longest prefix whose induced components have at most
@@ -226,18 +236,23 @@ def lambda1(g: WeightedGraph) -> float:
 
     When every row sum equals c, lambda1 is c exactly (the ones vector is a
     positive eigenvector), so no solve runs; this covers the graph with no
-    edges (lambda1 = 0). Otherwise a dense top-only solve (``_dense_top``)
-    up to ``DEFAULT_SOLVER_CAP`` vertices, and ``InertiaCounts(g).top(1)``
-    beyond, which is certified to within ``TOL_EIG`` or raises
-    :class:`SolverCapError`. Errors on the empty graph.
+    edges (lambda1 = 0). Otherwise, by the order n: a dense top-only solve
+    (``_dense_top``) up to ``DENSE_TOP_MAX``; up to ``DEFAULT_SOLVER_CAP``,
+    the largest ball-top value (``_power_tops``) of its components, a lower
+    bound up to rounding; beyond, ``InertiaCounts(g).top(1)``, certified to
+    within ``TOL_EIG`` or raising :class:`SolverCapError`. Errors on the
+    empty graph.
     """
     if g.n == 0:
         raise GraphError("lambda1 of the empty graph is undefined")
     c = _constant_row_sum(g)
     if c is not None:
         return c
-    if g.n <= DEFAULT_SOLVER_CAP:
+    if g.n <= DENSE_TOP_MAX:
         return _dense_top(g.dense())
+    if g.n <= DEFAULT_SOLVER_CAP:
+        labels = sp.csgraph.connected_components(g.csr, directed=False)[1]
+        return float(_power_tops(g, np.argsort(labels, kind="stable"), np.bincount(labels)).max())
     return InertiaCounts(g).top(1)
 
 
@@ -740,16 +755,17 @@ def _ball_members(g: WeightedGraph, r: int) -> sp.csr_matrix:
     return members
 
 
-def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
-    """The top eigenvalue of each diagonal block of ``a``, from below.
+def _power_tops(g: WeightedGraph, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The top eigenvalue, from below, of each subgraph of ``g`` induced on
+    a run of ``ids``: balls, or the components of a graph. The runs have the
+    given sizes, each is ascending and connected, and ``_induced_arrays``
+    lays them out as the diagonal blocks of one matrix ``a``.
 
-    ``a`` is symmetric, nonnegative and block diagonal with irreducible
-    blocks starting at rows ``starts``. Chebyshev-filtered power iteration
-    from the ones vector. For strictly positive x, both the
-    Collatz-Wielandt minimum min(Ax/x) and the Rayleigh quotient
-    rho = x'Ax / x'x are <= lambda1 <= max(Ax/x). Each filter starts with a
-    test of these bounds on y = Ax; a block's value is the larger lower
-    bound at the first test where its x is strictly positive and its
+    Chebyshev-filtered power iteration from the ones vector. For strictly
+    positive x, both the Collatz-Wielandt minimum min(Ax/x) and the Rayleigh
+    quotient rho = x'Ax / x'x are <= lambda1 <= max(Ax/x). Each filter starts
+    with a test of these bounds on y = Ax; a block's value is the larger
+    lower bound at the first test where its x is strictly positive and its
     Collatz-Wielandt bounds agree to ``BALL_CW_WIDTH`` relative.
 
     The filter applies T_m((a - c) / e), the degree-m Chebyshev polynomial
@@ -770,7 +786,9 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
     ``lambda1`` (``_dense_top``) up to order ``DEFAULT_SOLVER_CAP`` and
     raises :class:`SolverBudgetError` above it.
     """
-    sizes = np.diff(np.append(starts, a.shape[0]))
+    indptr, indices, weights = _induced_arrays(g, ids, np.arange(len(sizes)).repeat(sizes))
+    a = sp.csr_matrix((weights, indices, indptr), shape=(len(ids), len(ids)))
+    starts = np.cumsum(sizes) - sizes
     tops = np.empty(len(starts))
     todo = np.ones(len(starts), dtype=bool)
     x = np.ones(a.shape[0])
@@ -803,7 +821,7 @@ def _power_tops(a: sp.csr_matrix, starts: np.ndarray) -> np.ndarray:
         if sizes[b] > DEFAULT_SOLVER_CAP:
             raise SolverBudgetError(
                 f"power iteration did not settle the top eigenvalue of an "
-                f"order-{sizes[b]} ball within {BALL_POWER_BUDGET} products"
+                f"order-{sizes[b]} block within {BALL_POWER_BUDGET} products"
             )
         tops[b] = _dense_top(a[begin:end, begin:end].toarray())
     return tops
@@ -888,10 +906,7 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
         order += sizes[b]
     for chunk in chunks:
         part = members[reps[chunk]]
-        block = np.arange(len(chunk)).repeat(np.diff(part.indptr))
-        indptr, indices, weights = _induced_arrays(g, part.indices, block)
-        a = sp.csr_matrix((weights, indices, indptr), shape=(len(block), len(block)))
-        tops[chunk] = _power_tops(a, part.indptr[:-1])
+        tops[chunk] = _power_tops(g, part.indices, np.diff(part.indptr))
     return tops[which]
 
 

@@ -30,8 +30,10 @@ from spectop import (
     build_graph,
     count_at_most,
     count_below,
+    delete_vertices,
     eigenvalues,
     generate,
+    greedy_tree_net,
     lambda1,
     lambda1_balls,
     local_global_check,
@@ -180,8 +182,7 @@ def _dense_oracle(g):
     return scipy.linalg.eigvalsh(g.dense())[-1]
 
 
-@given(g=graphs, seed=st.integers(0, 10_000))
-def test_lambda1_matches_the_full_dense_spectrum(g, seed):
+def _lambda1_matches_the_dense_oracle(g, seed):
     # empty, edgeless and disconnected graphs, weights in [0.5, 2]
     if g.n == 0:
         with pytest.raises(GraphError):
@@ -192,16 +193,62 @@ def test_lambda1_matches_the_full_dense_spectrum(g, seed):
     assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
 
 
+@given(g=graphs, seed=st.integers(0, 10_000))
+def test_lambda1_matches_the_full_dense_spectrum(g, seed):
+    _lambda1_matches_the_dense_oracle(g, seed)
+
+
+@given(g=graphs, seed=st.integers(0, 10_000))
+def test_lambda1_by_components_matches_the_full_dense_spectrum(g, seed):
+    # every irregular graph goes by its components' tops
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "DENSE_TOP_MAX", 0)
+        _lambda1_matches_the_dense_oracle(g, seed)
+
+
 def test_lambda1_matches_the_full_dense_spectrum_at_a_repeated_top_and_large_n():
     h = random_connected_graph(7, n_min=20, n_max=30, weighted=True)
     edges = list(h.edges())
     # two disjoint copies: the top eigenvalue is double
     twice = build_graph(2 * h.n, edges + [(u + h.n, v + h.n, w) for u, v, w in edges])
     large = random_connected_graph(3, n_min=300, n_max=400, weighted=True)
+    # irregular: h and twice get the dense solve, large its components' tops
+    assert max(h.n, twice.n) <= spectral.DENSE_TOP_MAX < large.n
     for g in (h, twice, large):
-        assert spectral._constant_row_sum(g) is None  # irregular: the dense solve runs
+        assert spectral._constant_row_sum(g) is None
         assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
     assert abs(lambda1(twice) - lambda1(h)) <= 1e-12 * lambda1(h)
+
+
+def test_lambda1_by_components_above_the_dense_cut(monkeypatch):
+    rr6 = generate(FamilySpec("random-regular", n=400, d=6, seed=106))  # the corpus graph
+    cases = [delete_vertices(rr6, greedy_tree_net(rr6, r).vertices)[0] for r in (1, 2, 3)]
+    # lambda1 below 3 in the large component, which comes first, and 4 in K5
+    k5 = [(u, v, 1.0) for u in range(395, 400) for v in range(u + 1, 400)]
+    cases.append(build_graph(400, [(v, v + 1, 1.5) for v in range(394)] + k5))
+    # every odd vertex isolated
+    h = random_connected_graph(5, n_min=130, n_max=150, weighted=True)
+    cases.append(build_graph(300, [(2 * u, 2 * v, w) for u, v, w in h.edges()]))
+    assert [g.n for g in cases] == [255, 351, 384, 400, 300]
+    assert lambda1(cases[3]) == pytest.approx(4.0, rel=1e-12)
+    # G - W of the r = 1 net has 255 vertices: it goes by components at the cut 0
+    for cut in (spectral.DENSE_TOP_MAX, 0):
+        monkeypatch.setattr(spectral, "DENSE_TOP_MAX", cut)
+        for g in cases:
+            assert spectral._constant_row_sum(g) is None
+            assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
+
+
+def test_lambda1_above_the_dense_cut_needs_no_dense_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a dense top solve ran")
+
+    h = random_connected_graph(13, n_min=300, n_max=300, weighted=True)
+    g = build_graph(320, list(h.edges()))  # and 20 isolated vertices
+    second, expected = scipy.linalg.eigvalsh(g.dense())[-2:]
+    assert expected - second > 0.05 * expected  # a clear top gap
+    monkeypatch.setattr(spectral, "_dense_top", no_solve)
+    assert abs(lambda1(g) - expected) <= 1e-12 * expected
 
 
 def test_a_lapack_failure_in_lambda1_raises(monkeypatch):
@@ -496,7 +543,7 @@ def test_lambda1_balls_fall_back_to_dense_at_the_budget(monkeypatch):
             assert tops[v] == pytest.approx(dense[v], rel=1e-14)
     # above the dense cap an unsettled ball raises
     monkeypatch.setattr(spectral, "DEFAULT_SOLVER_CAP", 4)
-    with pytest.raises(SolverBudgetError):
+    with pytest.raises(SolverBudgetError, match="order-5 block"):
         lambda1_balls(generate(FamilySpec("path", n=9)), 2)
 
 
