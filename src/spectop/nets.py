@@ -216,10 +216,13 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> DropReport
     property is re-checked here rather than trusted.  Vertices of W are
     deleted outright (the row-zeroing picture gives the same top eigenvalue,
     up to extra zero eigenvalues). When a power leaves the float range, the
-    check is decided in logs and a side beyond the range is inf.
+    check is decided in logs and a side beyond the range is inf. A graph
+    with no edge raises: w_min is the lightest edge weight.
     """
     if r < 1:
         raise GraphError("drop check needs r >= 1")
+    if g.m == 0:
+        raise GraphError("drop check needs an edge: w_min is the lightest edge weight")
     if r != w.r:
         raise GraphError(f"net was built for r={w.r}, check asked for r={r}")
     if not is_r_net(g, w.vertices, r):

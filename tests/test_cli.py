@@ -96,10 +96,13 @@ def test_impractical_theory_params_exit_2(tmp_path, monkeypatch, capsys):
         ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "0"],
         ["verify", "rad-drop", "--family", "cycle", "--n", "20", "--r", "1", "--trials", "-1"],
         ["verify", "local-global", "--family", "cycle", "--n", "20", "--r-max", "0"],
+        # no edge, so no lightest edge weight w_min
+        ["verify", "rad-drop", "--family", "path", "--n", "1", "--r", "1"],
+        ["verify", "rad-drop", "--family", "tree-ball", "--d", "3", "--depth", "0", "--r", "1"],
     ],
     ids=["negative-u-size", "theta-grid-0", "thm-x-nan", "fp-x-nan", "fp-x-inf",
          "fp-theta-1.5", "fp-theta-nan-auto-rs", "fp-theta-5e-324-auto-rs", "zero-trials", "negative-trials",
-         "zero-radii"],
+         "zero-radii", "rad-drop-no-edge-path", "rad-drop-no-edge-tree-ball"],
 )
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv):
     # exit 1 is kept for a violated inequality; no row is no verdict

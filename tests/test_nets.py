@@ -229,6 +229,15 @@ def test_drop_check_rejects_r_zero():
         net_removal_drop_check(g, net, 0)
 
 
+@pytest.mark.parametrize("g", [generate(FamilySpec("path", n=1)),
+                               generate(FamilySpec("tree-ball", d=3, depth=0))])
+def test_drop_check_needs_an_edge(g):
+    # w_min is the lightest edge weight; a graph with none only declares one
+    net = greedy_tree_net(g, 1)
+    with pytest.raises(GraphError, match="needs an edge"):
+        net_removal_drop_check(g, net, 1)
+
+
 def test_drop_check_weighted_uses_graph_w_min():
     g = build_graph(4, [(0, 1, 0.5), (1, 2, 1.0), (2, 3, 0.5), (3, 0, 1.0)])
     net = greedy_tree_net(g, 1)

@@ -215,7 +215,7 @@ def test_lambda1_matches_the_full_dense_spectrum_at_a_repeated_top_and_large_n()
     # irregular: h and twice get the dense solve, large its components' tops
     assert max(h.n, twice.n) <= spectral.DENSE_TOP_MAX < large.n
     for g in (h, twice, large):
-        assert spectral._constant_row_sum(g) is None
+        assert np.ptp(spectral._row_sums(g)) > 0
         assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
     assert abs(lambda1(twice) - lambda1(h)) <= 1e-12 * lambda1(h)
 
@@ -229,26 +229,53 @@ def test_lambda1_by_components_above_the_dense_cut(monkeypatch):
     # every odd vertex isolated
     h = random_connected_graph(5, n_min=130, n_max=150, weighted=True)
     cases.append(build_graph(300, [(2 * u, 2 * v, w) for u, v, w in h.edges()]))
-    assert [g.n for g in cases] == [255, 351, 384, 400, 300]
+    # a star of 200 leaves (row sum 200, lambda1 sqrt(200)) next to K16 (15),
+    # then isolated vertices: the largest row sum is not in the top's component
+    k16 = [(u, v, 1.0) for u in range(201, 217) for v in range(u + 1, 217)]
+    cases.append(build_graph(300, [(0, v, 1.0) for v in range(1, 201)] + k16))
+    assert [g.n for g in cases] == [255, 351, 384, 400, 300, 300]
     assert lambda1(cases[3]) == pytest.approx(4.0, rel=1e-12)
+    assert lambda1(cases[5]) == pytest.approx(15.0, rel=1e-12)
     # G - W of the r = 1 net has 255 vertices: it goes by components at the cut 0
     for cut in (spectral.DENSE_TOP_MAX, 0):
         monkeypatch.setattr(spectral, "DENSE_TOP_MAX", cut)
         for g in cases:
-            assert spectral._constant_row_sum(g) is None
+            assert np.ptp(spectral._row_sums(g)) > 0
             assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
 
 
-def test_lambda1_above_the_dense_cut_needs_no_dense_solve(monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a dense top solve ran")
+def no_dense_solve(*args, **kwargs):
+    raise AssertionError("a dense top solve ran")
 
+
+def test_lambda1_above_the_dense_cut_needs_no_dense_solve(monkeypatch):
     h = random_connected_graph(13, n_min=300, n_max=300, weighted=True)
     g = build_graph(320, list(h.edges()))  # and 20 isolated vertices
     second, expected = scipy.linalg.eigvalsh(g.dense())[-2:]
     assert expected - second > 0.05 * expected  # a clear top gap
-    monkeypatch.setattr(spectral, "_dense_top", no_solve)
+    monkeypatch.setattr(spectral, "_dense_top", no_dense_solve)
     assert abs(lambda1(g) - expected) <= 1e-12 * expected
+
+
+def test_lambda1_skips_the_components_that_cannot_hold_the_top(monkeypatch):
+    # the path's row sums are at most 3, below K5's mean row sum 4, so only
+    # K5 runs; the path's tiny top gap would run out the budget and be solved
+    k5 = [(u, v, 1.0) for u in range(395, 400) for v in range(u + 1, 400)]
+    g = build_graph(400, [(v, v + 1, 1.5) for v in range(394)] + k5)
+    monkeypatch.setattr(spectral, "_dense_top", no_dense_solve)
+    assert lambda1(g) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_lambda1_keeps_a_component_whose_mean_rounds_above_its_row_sums():
+    # a triangle of weight 0.05 has row sums 0.1, and its mean row sum
+    # (0.1 + 0.1 + 0.1) / 3 rounds to 0.10000000000000002, above them
+    triangle = [(0, 1, 0.05), (1, 2, 0.05), (0, 2, 0.05)]
+    star = [(3, v, 0.001) for v in range(4, 304)]  # row sum 0.3, lambda1 0.0173
+    path = [(v, v + 1, 0.01) for v in range(3, 302)]  # row sums at most 0.02
+    for g in (build_graph(304, triangle + star), build_graph(303, triangle + path)):
+        assert spectral.DENSE_TOP_MAX < g.n
+        assert lambda1(g) == pytest.approx(0.1, rel=1e-12)
+        assert abs(lambda1(g) - _dense_oracle(g)) <= 1e-12 * _dense_oracle(g)
 
 
 def test_a_lapack_failure_in_lambda1_raises(monkeypatch):
@@ -426,29 +453,51 @@ def balls_by_bytes(members):
     return reps, which
 
 
-def assert_balls_grouped_by_bytes(g, radii):
-    for r in radii:
-        members = spectral._ball_members(g, r)
-        reps, which = spectral._distinct_rows(members)
-        assert (reps.tolist(), which.tolist()) == balls_by_bytes(members), r
+def clique_and_a_tail(m):
+    # K_m and a 2-vertex path hung on vertex 0: at r = 1 the balls of the
+    # other m - 1 clique vertices equal the clique without being whole
+    edges = [(u, v, 1.0) for u in range(m) for v in range(u + 1, m)]
+    return build_graph(m + 2, edges + [(0, m, 1.0), (m, m + 1, 1.0)])
+
+
+def assert_equal_balls_get_equal_tops(g, r):
+    tops = lambda1_balls(g, r)
+    reps, which = balls_by_bytes(spectral._ball_members(g, r))
+    for v, b in enumerate(which):
+        assert tops[v].tobytes() == tops[reps[b]].tobytes(), (r, v)
 
 
 @given(g=graphs)
-def test_equal_balls_are_grouped_as_by_their_bytes(g):
-    assert_balls_grouped_by_bytes(g, range(g.n + 2))
+def test_equal_balls_get_equal_tops(g):
+    for r in range(g.n + 2):
+        assert_equal_balls_get_equal_tops(g, r)
+    g = clique_and_a_tail(12)
+    assert len(set(balls_by_bytes(spectral._ball_members(g, 1))[1])) == 4
+    assert_equal_balls_get_equal_tops(g, 1)
 
 
-@given(g=graphs)
-def test_a_hash_collision_falls_back_to_the_bytes(g):
-    # one hash for every ball: each group of more than one ball is checked
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_row_hashes", lambda pattern: np.zeros(pattern.shape[0], dtype=np.uint64))
-        assert_balls_grouped_by_bytes(g, range(g.n + 2))
+def test_whole_balls_get_one_lambda1(corpus, monkeypatch):
+    # n balls of order n would be n dense-sized blocks: a whole ball never
+    # reaches _power_tops, and lambda1(g) runs once for all of them
+    power_tops, solve = spectral._power_tops, spectral.lambda1
+    orders, solves = [], []
 
+    def blocks(g, ids, sizes):
+        orders.append((g.n, int(sizes.max())))
+        return power_tops(g, ids, sizes)
 
-def test_equal_balls_of_the_corpus_are_grouped_as_by_their_bytes(corpus):
-    for _, g in corpus:
-        assert_balls_grouped_by_bytes(g, (1, 2, 3))
+    monkeypatch.setattr(spectral, "_power_tops", blocks)
+    monkeypatch.setattr(spectral, "lambda1", lambda g: solves.append(1) or solve(g))
+    rr4 = dict(corpus)["random-regular n=60 d=4 seed=101"]
+    tail = clique_and_a_tail(12)
+    for g, r in ((rr4, int(all_pairs_distances(rr4).max())), (tail, 2), (tail, 3)):
+        orders.clear()
+        solves.clear()
+        whole = np.diff(spectral._ball_members(g, r).indptr) == g.n
+        assert whole.any()
+        assert np.all(lambda1_balls(g, r)[whole] == solve(g))
+        assert solves == [1]
+        assert all(largest < n for n, largest in orders)
 
 
 def two_cliques_and_a_tail():
