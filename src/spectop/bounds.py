@@ -385,7 +385,7 @@ def interlacing_check(
     grid takes midpoints between consecutive points of the merged spectra,
     plus one point beyond each extreme, where counting is exact.
     """
-    spec_g = eigenvalues(g, compute_residual=False)
+    spec_g = eigenvalues(g)
     if mode == "delete":
         h, _ = delete_vertices(g, u.ids)
     elif mode == "zero-rows-cols":
@@ -394,7 +394,7 @@ def interlacing_check(
         h = WeightedGraph(g.n, *arrays, g.w_min, g.w_max, g.delta)
     else:
         raise GraphError(f"unknown interlacing mode {mode!r}")
-    spec_h = eigenvalues(h, compute_residual=False)
+    spec_h = eigenvalues(h)
     merged = np.unique(np.concatenate([spec_g.values, spec_h.values]))
     # collapse values that agree up to solver error: an eigenvalue shared
     # by G and H analytically comes back as two floats 1e-15 apart, and a

@@ -337,7 +337,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = graph_provider(family_of(args))(args.seed)
-    spectrum = eigenvalues(g, cap=args.cap, compute_residual=not args.no_residual)
+    spectrum = eigenvalues(g, cap=args.cap)
     config = invocation_config(args)
     rows = enumerate(spectrum.values)
     emit(csv_text(("index", "eigenvalue"), rows), args.out, config, args.seed)
@@ -899,7 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_args(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cap", type=int, default=DEFAULT_SOLVER_CAP)
-    sp.add_argument("--no-residual", action="store_true")
     sp.add_argument("--interval", type=_parse_interval, help="count/measure query A:B")
     sp.add_argument("--open-a", action="store_true", help="open left endpoint")
     sp.add_argument("--open-b", action="store_true", help="open right endpoint")

@@ -277,51 +277,34 @@ def _raise_fault(n: int, edges: list, key: np.ndarray, i: int) -> None:
 
 
 def distances(
-    g: WeightedGraph, sources: int | Iterable[int], cutoff: int | None = None
+    g: WeightedGraph, sources: int | Iterable[int], cutoff: float | None = None
 ) -> np.ndarray:
-    """Hop distances from a source vertex (or set) via BFS.
+    """Hop distances from a source vertex (or set), by scipy's unweighted Dijkstra.
 
-    Unreachable vertices get ``UNREACHABLE`` (-1).  ``cutoff`` stops the
-    search at that depth; vertices beyond it are reported unreachable.
+    Unreachable vertices get ``UNREACHABLE`` (-1). A cutoff ``c`` stops the
+    search at depth ``ceil(c)``: 2.5 reaches depth 3, ``inf`` (like None)
+    sets no limit, and ``c <= 0`` leaves the sources only. Vertices beyond
+    the cutoff are reported unreachable.
     """
     if isinstance(sources, (int, np.integer)):
-        sources = [int(sources)]
-    out = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    # memoryviews: entries as Python ints, without numpy scalars or O(n) tolist()
-    dist, indptr, indices = memoryview(out), memoryview(g.indptr), memoryview(g.indices)
-    frontier = []
-    for s in sources:
-        if s < 0 or s >= g.n:
-            raise VertexRangeError(f"source {s} out of range")
-        if dist[s] != 0:
-            dist[s] = 0
-            frontier.append(s)
-    depth = 0
-    while frontier and (cutoff is None or depth < cutoff):
-        depth += 1
-        reached = []
-        for u in frontier:
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if dist[v] == UNREACHABLE:
-                    dist[v] = depth
-                    reached.append(v)
-        frontier = reached
-    return out
+        sources = [sources]
+    ids = np.fromiter(sources, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= g.n)]
+    if len(bad):
+        raise VertexRangeError(f"source {bad[0]} out of range")
+    limit = np.inf if cutoff is None else max(0.0, float(np.ceil(cutoff)))
+    d = sp.csgraph.dijkstra(g.csr, unweighted=True, indices=ids, min_only=True, limit=limit)
+    return _hops(d)
 
 
 def all_pairs_distances(g: WeightedGraph) -> np.ndarray:
     """Hop-distance matrix (n x n, UNREACHABLE off-component)."""
-    if g.n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if g.m == 0:
-        d = np.full((g.n, g.n), UNREACHABLE, dtype=np.int64)
-        np.fill_diagonal(d, 0)
-        return d
-    dm = sp.csgraph.shortest_path(g.csr, method="D", unweighted=True)
-    out = np.full((g.n, g.n), UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(dm)
-    out[finite] = dm[finite].astype(np.int64)
-    return out
+    return _hops(sp.csgraph.shortest_path(g.csr, unweighted=True))
+
+
+def _hops(d: np.ndarray) -> np.ndarray:
+    """scipy's float hop counts as int64, with UNREACHABLE for inf."""
+    return np.where(np.isinf(d), UNREACHABLE, d).astype(np.int64)
 
 
 def induced_subgraph(
@@ -409,13 +392,37 @@ def delete_vertices(
     return h, tuple(ids.tolist())
 
 
+def _ball_rows(g: WeightedGraph, centers: Iterable[int], r: float) -> sp.csr_matrix:
+    """Row ``i`` holds the radius-``r`` ball at ``centers[i]``: the rows
+    ``centers`` of the pattern of (I + A)^r, with sorted indices.
+
+    At most ``ceil(r)`` sparse products, stopping at the first that adds no
+    entry, so a radius of 2.5 reaches depth 3 and ``inf`` the whole
+    component. Memory is (rows) x (ball size).
+    """
+    ids = np.fromiter(centers, dtype=np.int64)
+    step = sp.csr_matrix((np.ones(len(g.indices), dtype=bool), g.indices, g.indptr),
+                         shape=(g.n, g.n))
+    step = (step + sp.identity(g.n, dtype=bool, format="csr")).tocsr()
+    rows = sp.csr_matrix((np.ones(len(ids), dtype=bool), ids, np.arange(len(ids) + 1)),
+                         shape=(len(ids), g.n))
+    depth = 0
+    while depth < r:
+        grown = rows @ step
+        if grown.nnz == rows.nnz:  # products only add entries: this pattern is final
+            break
+        rows, depth = grown, depth + 1
+    rows.sort_indices()
+    return rows
+
+
 def ball(g: WeightedGraph, v: int, r: int) -> tuple[WeightedGraph, tuple[int, ...]]:
     """Induced subgraph on the radius-``r`` ball around ``v``, plus id map."""
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    d = distances(g, v, cutoff=r)
-    inside = np.flatnonzero(d != UNREACHABLE)
-    return induced_subgraph(g, inside.tolist())
+    if not 0 <= v < g.n:
+        raise VertexRangeError(f"source {v} out of range")
+    return induced_subgraph(g, _ball_rows(g, [v], r).indices.tolist())
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -456,20 +463,19 @@ def is_r_net(g: WeightedGraph, w: Iterable[int], r: int) -> bool:
 
 
 def is_s_separated(g: WeightedGraph, w: Iterable[int], s: int) -> bool:
-    """Are all pairwise hop distances within ``w`` at least ``s``?"""
-    members = sorted({int(v) for v in w})
-    if members and (members[0] < 0 or members[-1] >= g.n):
+    """Are all pairwise hop distances within ``w`` at least ``s``?
+
+    True iff the radius-(s - 1) balls at the members of ``w`` hold no other
+    member. Memory is |w| x (ball size).
+    """
+    members = np.unique(np.fromiter(w, dtype=np.int64))
+    if len(members) and (members[0] < 0 or members[-1] >= g.n):
         raise VertexRangeError(f"vertex out of range 0..{g.n - 1}")
     if len(members) <= 1 or s <= 0:
         return True
     inset = np.zeros(g.n, dtype=bool)
     inset[members] = True
-    for v in members:
-        d = distances(g, v, cutoff=s - 1)
-        hits = np.flatnonzero((d != UNREACHABLE) & inset)
-        if any(h != v for h in hits):
-            return False
-    return True
+    return int(inset[_ball_rows(g, members, s - 1).indices].sum()) == len(members)
 
 
 # -- file format -------------------------------------------------------------

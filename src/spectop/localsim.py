@@ -28,10 +28,9 @@ from .graphs import (
     GraphError,
     VertexSet,
     WeightedGraph,
+    _ball_rows,
     _intra_class,
-    distances,
     is_s_separated,
-    UNREACHABLE,
 )
 from .nets import NetResult, _finish, _ranked_bfs, _tree_net
 from .rng import keyed_uniforms
@@ -96,34 +95,23 @@ def local_separated(
     g: WeightedGraph, u: VertexSet, r: int, labels: LocalLabels
 ) -> VertexSet:
     """Local-maximum thinning: keep v in U iff its label beats every vertex
-    within distance < r (labels outside U count as 0).
+    within distance < r (labels outside U count as 0, label ties go to the
+    smaller id).
 
     The output is r-separated by construction and is rechecked exactly here.
     Each member's decision reads labels only inside B(v, r-1); the declared
-    locality radius is r.
+    locality radius is r. Memory is |U| x (size of a radius-(r-1) ball).
     """
     _check_labels(g, labels)
     if r < 1:
         raise GraphError("separation radius must be >= 1")
     eff = np.where(u.mask(), labels.values, 0.0)
-    members: list[int] = []
-    for v in u.ids:
-        if r == 1:
-            members.append(v)
-            continue
-        d = distances(g, v, cutoff=r - 1)
-        near = np.flatnonzero(d != UNREACHABLE)
-        keep = True
-        for w in near:
-            w = int(w)
-            if w == v:
-                continue
-            if (eff[w], -w) >= (eff[v], -v):
-                keep = False
-                break
-        if keep:
-            members.append(v)
-    out = VertexSet.of(members, g.n)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.lexsort((-np.arange(g.n), eff))] = np.arange(g.n)  # by (eff, -id)
+    ids = np.array(u.ids, dtype=np.int64)
+    rows = _ball_rows(g, ids, r - 1)
+    best = np.maximum.reduceat(rank[rows.indices], rows.indptr[:-1])
+    out = VertexSet.of(ids[best == rank[ids]].tolist(), g.n)
     if not is_s_separated(g, out, r):
         raise GraphError("local_separated produced a non-separated set")
     return out

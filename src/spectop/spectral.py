@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .graphs import GraphError, WeightedGraph, _induced_arrays
+from .graphs import GraphError, WeightedGraph, _ball_rows, _induced_arrays
 
 __all__ = [
     "SolverCapError",
@@ -112,15 +112,9 @@ class SolverBudgetError(GraphError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of a weighted adjacency matrix, ascending.
-
-    ``residual_bound`` is the largest 2-norm residual ``|A v - lambda v|``
-    across the computed eigenpairs, or NaN when the solver was asked to skip
-    the residual computation.
-    """
+    """All eigenvalues of a weighted adjacency matrix, ascending."""
 
     values: np.ndarray
-    residual_bound: float
 
     @property
     def n(self) -> int:
@@ -145,53 +139,32 @@ class Spectrum:
         return float(self.values[-k])
 
 
-def eigenvalues(
-    g: WeightedGraph,
-    cap: int = DEFAULT_SOLVER_CAP,
-    compute_residual: bool = True,
-) -> Spectrum:
-    """Full spectrum via a dense symmetric eigensolver.
+def eigenvalues(g: WeightedGraph, cap: int = DEFAULT_SOLVER_CAP) -> Spectrum:
+    """Full spectrum via a dense symmetric eigensolver, without eigenvectors.
 
-    Parameters
-    ----------
-    g : the graph; must satisfy ``g.n <= cap``.
-    cap : refuse larger graphs instead of silently grinding.
-    compute_residual : verify the eigenpairs and report the worst residual;
-        skipping it roughly halves the cost for large graphs.
+    Refuses graphs with ``g.n > cap`` instead of silently grinding.
     """
     if g.n > cap:
         raise SolverCapError(f"n={g.n} exceeds solver cap {cap}")
-    if g.n == 0:
-        return Spectrum(np.array([], dtype=np.float64), 0.0)
-    a = g.dense()
-    if compute_residual:
-        vals, vecs = scipy.linalg.eigh(a)
-        resid = a @ vecs - vecs * vals[np.newaxis, :]
-        residual = float(np.sqrt((resid * resid).sum(axis=0)).max())
-    else:
-        vals = scipy.linalg.eigvalsh(a)
-        residual = math.nan
-    vals = np.sort(vals)
-    return Spectrum(vals, residual)
+    return Spectrum(scipy.linalg.eigvalsh(g.dense()))
 
 
-def _lanczos_top(a: sp.spmatrix, k: int, **kwargs) -> np.ndarray:
+def _lanczos_top(a: sp.spmatrix, k: int, sigma: float | None = None) -> np.ndarray:
     """The k largest eigenvalues of the sparse symmetric ``a``, descending.
 
     The start vector, and any vector ARPACK draws when its Krylov space
     closes, come from a fixed generator, so that a run repeats to the last
     bit in any process or thread. The start vector is not the ones vector,
     which is the Perron vector of a regular graph and would end the
-    iteration at once. ``kwargs`` go to ``eigsh`` (a shift ``sigma`` for
-    shift-invert mode, a ``tol``). Raises :class:`SolverBudgetError` after
-    ``LANCZOS_MAXITER`` restarts.
+    iteration at once. A shift ``sigma`` selects shift-invert mode. Raises
+    :class:`SolverBudgetError` after ``LANCZOS_MAXITER`` restarts.
     """
     gen = np.random.default_rng(0)
     try:
         vals = scipy.sparse.linalg.eigsh(
-            a, k=k, which="LM" if "sigma" in kwargs else "LA",
+            a, k=k, sigma=sigma, which="LA" if sigma is None else "LM",
             v0=gen.standard_normal(a.shape[0]), rng=gen,
-            maxiter=LANCZOS_MAXITER, return_eigenvectors=False, **kwargs,
+            maxiter=LANCZOS_MAXITER, return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackNoConvergence:
         raise SolverBudgetError(
@@ -481,7 +454,7 @@ class InertiaCounts:
 
     def _dense(self) -> Spectrum:
         if self._spectrum is None:
-            self._spectrum = eigenvalues(self.g, compute_residual=False)
+            self._spectrum = eigenvalues(self.g)
         return self._spectrum
 
     def _negative_pivots(self, sigma: float) -> tuple[int, np.ndarray] | None:
@@ -731,32 +704,17 @@ class InertiaCounts:
         if self._spectrum is None and k < self.n - 1:
             a = self.g.csr
             bound = self._largest_row_sum
-            shifts = [{}, {"sigma": bound + 1e-6 * max(bound, 1.0)}]
+            shifts = [None, bound + 1e-6 * max(bound, 1.0)]
             if _top_gap_bound(a, bound) < SHIFT_INVERT_GAP * bound:
                 shifts.reverse()
             for shift in shifts:
                 try:
-                    x = float(_lanczos_top(a, k, **shift)[k - 1])
+                    x = float(_lanczos_top(a, k, sigma=shift)[k - 1])
                 except SolverBudgetError:
                     continue
                 if self._certifies(x, k):
                     return x
         return self._dense().top(k)
-
-
-def _ball_members(g: WeightedGraph, r: int) -> sp.csr_matrix:
-    """Row ``v`` holds the radius-``r`` ball at ``v``: the pattern of (I + A)^r."""
-    step = sp.csr_matrix((np.ones(len(g.indices), dtype=bool), g.indices, g.indptr),
-                         shape=(g.n, g.n))
-    step = (step + sp.identity(g.n, dtype=bool, format="csr")).tocsr()
-    members = sp.identity(g.n, dtype=bool, format="csr")
-    for _ in range(r):
-        grown = members @ step
-        if grown.nnz == members.nnz:  # products only add entries: this pattern is final
-            break
-        members = grown
-    members.sort_indices()
-    return members
 
 
 def _power_tops(g: WeightedGraph, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -834,15 +792,17 @@ def _power_tops(g: WeightedGraph, ids: np.ndarray, sizes: np.ndarray) -> np.ndar
 def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     """lambda1 of every radius-``r`` ball, indexed by center.
 
-    A ball that is all of ``g`` gets ``lambda1(g)``. The other balls, in
-    center order, are laid side by side in block-diagonal matrices of total
-    order about ``BALL_CHUNK_ORDER`` and go through :func:`_power_tops`
-    together, so each value is a lower bound on the ball's lambda1 up to
-    rounding, certified by a Collatz-Wielandt test on a strictly positive
-    iterate of a Chebyshev-filtered power iteration, one test per
-    ``BALL_FILTER_DEGREE`` sparse products. Each ball's arithmetic is its
-    own, so the values do not depend on ``BALL_CHUNK_ORDER``, and balls
-    that coincide as vertex sets get equal values without being grouped.
+    The balls are the rows of ``_ball_rows`` at every vertex, so memory is
+    n x (ball size). A ball that is all of ``g`` gets ``lambda1(g)``. The
+    other balls, in center order, are laid side by side in block-diagonal
+    matrices of total order about ``BALL_CHUNK_ORDER`` and go through
+    :func:`_power_tops` together, so each value is a lower bound on the
+    ball's lambda1 up to rounding, certified by a Collatz-Wielandt test on
+    a strictly positive iterate of a Chebyshev-filtered power iteration,
+    one test per ``BALL_FILTER_DEGREE`` sparse products. Each ball's
+    arithmetic is its own, so the values do not depend on
+    ``BALL_CHUNK_ORDER``, and balls that coincide as vertex sets get equal
+    values without being grouped.
 
     A ball repeated k times is iterated k times. The worst case is a large
     clique with a short tail at r = 1: on K_200 plus a 2-vertex path, 199
@@ -852,7 +812,7 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     """
     if r < 0:
         raise GraphError("radius must be nonnegative")
-    members = _ball_members(g, r)
+    members = _ball_rows(g, range(g.n), r)
     sizes = np.diff(members.indptr)
     tops = np.empty(g.n)
     whole = sizes == g.n

@@ -51,7 +51,7 @@ def verdict(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def spectra(corpus):
-    return [eigenvalues(g, compute_residual=False) for _, g in corpus]
+    return [eigenvalues(g) for _, g in corpus]
 
 
 @pytest.fixture(scope="module")

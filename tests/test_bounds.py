@@ -107,7 +107,7 @@ def test_finite_param_rhs_x_at_w_min_kills_moment_term():
 )
 def test_finite_param_bound_holds(seed, theta, r, s, q):
     g = random_connected_graph(seed, n_max=18, weighted=seed % 2 == 0)
-    spectrum = eigenvalues(g, compute_residual=False)
+    spectrum = eigenvalues(g)
     top = float(spectrum.values[-1])
     x = max(g.w_min, q * top)
     net = greedy_tree_net(g, r)
@@ -119,7 +119,7 @@ def test_finite_param_bound_holds(seed, theta, r, s, q):
 
 
 def test_finite_param_check_lhs_is_window_mass(cycle12):
-    spectrum = eigenvalues(cycle12, compute_residual=False)
+    spectrum = eigenvalues(cycle12)
     net = greedy_tree_net(cycle12, 1)
     rep = finite_param_check(cycle12, 2.0, 0.5, 1, 1, net, spectrum=spectrum)
     expected = (count_at_most(spectrum, 2.0) - count_below(spectrum, 1.0)) / 12
@@ -130,7 +130,7 @@ def test_window_mass_counts_both_closed_ends(cycle12):
     """[(1 - theta) x, x] is closed: eigenvalues at either end, or within
     TOL_EIG outside it, count in the window and not in the tail above x."""
     values = np.array([-2.0] * 7 + [1.5 - 1e-9, 1.5, 1.7, 2.0, 2.0 + 1e-9])
-    spectrum = Spectrum(values, 0.0)
+    spectrum = Spectrum(values)
     rep = finite_param_check(cycle12, 2.0, 0.25, 1, 1, greedy_tree_net(cycle12, 1), spectrum=spectrum)
     assert rep.lhs == 5 / 12 and rep.params["delta_top"] == 0.0
     rep = thm_checker(cycle12, "main", x=2.0, theta=0.25, spectrum=spectrum)
@@ -190,7 +190,7 @@ def test_checks_count_without_a_dense_spectrum(monkeypatch):
         raise AssertionError("dense spectrum computed")
 
     g = generate(FamilySpec("random-regular", n=200, d=4, seed=1))
-    spec = eigenvalues(g, compute_residual=False)
+    spec = eigenvalues(g)
     monkeypatch.setattr(spectral, "eigenvalues", no_dense)
     rep = thm_checker(g, "second-eig")
     assert rep.params["x"] == pytest.approx(spec.top(2), abs=1e-12)

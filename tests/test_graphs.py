@@ -190,23 +190,52 @@ def test_distances_cutoff_marks_unreachable(path7):
     assert all(x == UNREACHABLE for x in d[3:])
 
 
-@given(seed=st.integers(0, 10_000))
-def test_distances_match_all_pairs(seed):
-    g = random_connected_graph(seed, n_max=16)
+def test_distances_and_ball_reject_bad_input(path7):
+    # a negative id must not wrap around to the end of the vertex range
+    for sources in (-1, 7, [0, 7], (3, -1), VertexSet.of([8], 9)):
+        with pytest.raises(VertexRangeError):
+            distances(path7, sources)
+    for v in (-1, 7):
+        with pytest.raises(VertexRangeError):
+            ball(path7, v, 1)
+    with pytest.raises(GraphError):
+        ball(path7, 0, -1)
+
+
+@given(
+    g=graphs | st.builds(random_connected_graph, st.integers(0, 10_000), n_max=st.just(16)),
+    data=st.data(),
+)
+def test_distances_match_all_pairs(g, data):
     ap = all_pairs_distances(g)
     for v in range(g.n):
         assert np.array_equal(distances(g, [v]), ap[v])
+    # several sources, given as an int, list, tuple, VertexSet or nothing: the
+    # row-wise minimum of ap, cut at depth ceil(c), and at the sources alone for c <= 0
+    hops = np.where(ap == UNREACHABLE, np.inf, ap)
+    sources = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=min(g.n, 4)))
+    near = np.min(hops[sources], axis=0, initial=np.inf)
+    forms = [sources, tuple(sources), VertexSet.of(sources, g.n)]
+    if len(sources) == 1:
+        forms.append(sources[0])
+    depths = {None: math.inf, 0: 0, 1: 1, 2.5: 3, math.inf: math.inf, -1: 0}
+    for cutoff, depth in depths.items():
+        expected = np.where(np.isfinite(near) & (near <= depth), near, UNREACHABLE).astype(np.int64)
+        for form in forms:
+            assert np.array_equal(distances(g, form, cutoff=cutoff), expected), (form, cutoff)
 
 
-@given(seed=st.integers(0, 10_000), r=st.integers(0, 4))
-def test_ball_membership_matches_distances(seed, r):
-    g = random_connected_graph(seed, n_max=14)
-    v = seed % g.n
-    sub, vmap = ball(g, v, r)
+@given(g=graphs.filter(lambda g: g.n), data=st.data())
+def test_ball_membership_matches_distances(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
     d = distances(g, [v])
-    expected = [u for u in range(g.n) if 0 <= d[u] <= r]
-    assert list(vmap) == expected
-    assert is_connected(sub) or sub.n == 1
+    for r in range(g.n + 2):
+        sub, vmap = ball(g, v, r)
+        assert list(vmap) == [u for u in range(g.n) if 0 <= d[u] <= r]
+        assert is_connected(sub)
+        if r:  # a fractional radius reaches depth ceil(r)
+            assert ball(g, v, r - 0.5)[1] == vmap
+    assert ball(g, v, math.inf)[1] == vmap
 
 
 def test_induced_subgraph_keeps_internal_edges(cycle12):

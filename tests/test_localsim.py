@@ -32,7 +32,7 @@ from spectop.graphs import VertexSet, distances
 from spectop.localsim import CellAssignment, CellConnectivityError, _intra_cell, _verify_cells_connected
 from spectop.rng import keyed_uniform, rng_for
 
-from conftest import random_connected_graph
+from conftest import graphs, random_connected_graph
 
 # frozen: theory schedule at (delta, r) = (2, 1), gap = 1/1 - 1/1.5 = 1/3
 THEORY_P_D2_R1 = 0.00637887953849786
@@ -72,6 +72,35 @@ def test_local_separated_is_separated_subset(seed, r):
     out = local_separated(g, u, r, labels)
     assert set(out.ids) <= set(u.ids)
     assert is_s_separated(g, out, r)
+
+
+def separated_reference(ap, w, s):
+    """``is_s_separated`` as a loop over pairs: no two members closer than s."""
+    return all(not 0 <= ap[a, b] < s for a in w for b in w if a != b)
+
+
+def local_separated_reference(ap, u, r, labels):
+    """``local_separated`` as a loop over members: keep v iff (label in U,
+    -id) of v beats that of every other vertex within distance < r."""
+    eff = np.where(u.mask(), labels.values, 0.0)
+    return tuple(
+        v for v in u.ids
+        if all((eff[w], -w) < (eff[v], -v) for w in range(u.n) if w != v and 0 <= ap[v, w] < r)
+    )
+
+
+# labels with ties, among themselves and with the 0 of a vertex outside U
+tied_labels = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@given(g=graphs, data=st.data())
+def test_separation_checks_match_the_per_vertex_loops(g, data):
+    u = VertexSet.of(data.draw(st.sets(st.integers(0, max(g.n - 1, 0)), max_size=g.n)), g.n)
+    labels = LocalLabels.from_values(data.draw(st.lists(tied_labels, min_size=g.n, max_size=g.n)))
+    ap = all_pairs_distances(g)
+    for r in [*range(1, g.n + 2), 1.5, math.inf]:
+        assert local_separated(g, u, r, labels).ids == local_separated_reference(ap, u, r, labels)
+        assert is_s_separated(g, u, r) == separated_reference(ap, u.ids, r)
 
 
 def test_local_separated_radius_one_returns_input(cycle12):

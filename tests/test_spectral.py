@@ -40,6 +40,7 @@ from spectop import (
     trace_power,
 )
 from spectop import spectral
+from spectop.graphs import _ball_rows
 from spectop.bounds import thm_checker
 from spectop.cli import (
     EN_ROUTE_THETA_CAP,
@@ -71,7 +72,6 @@ def test_cycle_spectrum_closed_form():
     spec = eigenvalues(g)
     expected = [2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n)]
     sorted_close(spec.values, expected)
-    assert spec.residual_bound <= 1e-10
 
 
 def test_path_spectrum_closed_form():
@@ -147,12 +147,6 @@ def test_eigenvalues_empty_graph():
     spec = eigenvalues(build_graph(0, []))
     assert spec.n == 0
     assert spec.values.size == 0
-
-
-def test_residual_skipped_is_nan():
-    g = generate(FamilySpec("cycle", n=8))
-    spec = eigenvalues(g, compute_residual=False)
-    assert math.isnan(spec.residual_bound)
 
 
 def test_lambda1_cycle_is_two():
@@ -289,7 +283,7 @@ def test_a_lapack_failure_in_lambda1_raises(monkeypatch):
 
 
 def test_count_endpoint_semantics():
-    spec = Spectrum(np.array([-1.0, 0.0, 1.0, 1.0, 2.0]), 0.0)
+    spec = Spectrum(np.array([-1.0, 0.0, 1.0, 1.0, 2.0]))
     assert count_at_most(spec, 2.0) - count_below(spec, 1.0) == 3  # [1, 2]
     assert count_at_most(spec, 2.0) - count_at_most(spec, 1.0) == 1  # (1, 2]
     assert count_below(spec, 2.0) - count_below(spec, 1.0) == 2  # [1, 2)
@@ -462,7 +456,7 @@ def clique_and_a_tail(m):
 
 def assert_equal_balls_get_equal_tops(g, r):
     tops = lambda1_balls(g, r)
-    reps, which = balls_by_bytes(spectral._ball_members(g, r))
+    reps, which = balls_by_bytes(_ball_rows(g, range(g.n), r))
     for v, b in enumerate(which):
         assert tops[v].tobytes() == tops[reps[b]].tobytes(), (r, v)
 
@@ -472,7 +466,7 @@ def test_equal_balls_get_equal_tops(g):
     for r in range(g.n + 2):
         assert_equal_balls_get_equal_tops(g, r)
     g = clique_and_a_tail(12)
-    assert len(set(balls_by_bytes(spectral._ball_members(g, 1))[1])) == 4
+    assert len(set(balls_by_bytes(_ball_rows(g, range(g.n), 1))[1])) == 4
     assert_equal_balls_get_equal_tops(g, 1)
 
 
@@ -493,7 +487,7 @@ def test_whole_balls_get_one_lambda1(corpus, monkeypatch):
     for g, r in ((rr4, int(all_pairs_distances(rr4).max())), (tail, 2), (tail, 3)):
         orders.clear()
         solves.clear()
-        whole = np.diff(spectral._ball_members(g, r).indptr) == g.n
+        whole = np.diff(_ball_rows(g, range(g.n), r).indptr) == g.n
         assert whole.any()
         assert np.all(lambda1_balls(g, r)[whole] == solve(g))
         assert solves == [1]
@@ -657,7 +651,9 @@ def test_interval_query_counts_boundary(cycle12, tmp_path):
 
 def test_spectrum_below_and_top_match_searchsorted(cycle12):
     spec = eigenvalues(cycle12)
-    assert spec.below(2.0) == 11 and spec.below(2.0, inclusive=True) == 12
+    top = spec.values[-1]  # 2 up to rounding, which can put it on either side of 2
+    assert spec.below(top) == 11 and spec.below(top, inclusive=True) == 12
+    assert spec.below(1.5) == 9 and spec.below(3.0, inclusive=True) == 12
     assert spec.top(1) == spec.values[-1] and spec.top(2) == spec.values[-2]
     with pytest.raises(GraphError):
         spec.top(13)
@@ -684,18 +680,18 @@ def reference_top(g, k):
     counts at x -+ TOL_EIG leave at least k eigenvalues at or above
     x - TOL_EIG and at most k - 1 above x + TOL_EIG, else the dense value.
     The counts come from the dense spectrum."""
-    dense = eigenvalues(g, compute_residual=False)
+    dense = eigenvalues(g)
     if g.m == 0:
         return 0.0
     if k < g.n - 1:
         a = g.csr
         bound = float(a.sum(axis=1).max())
-        shifts = [{}, {"sigma": bound + 1e-6 * max(bound, 1.0)}]
+        shifts = [None, bound + 1e-6 * max(bound, 1.0)]
         if spectral._top_gap_bound(a, bound) < spectral.SHIFT_INVERT_GAP * bound:
             shifts.reverse()
         for shift in shifts:
             try:
-                x = float(spectral._lanczos_top(a, k, **shift)[k - 1])
+                x = float(spectral._lanczos_top(a, k, sigma=shift)[k - 1])
             except SolverBudgetError:
                 continue
             if dense.below(x - TOL_EIG) <= g.n - k < dense.below(x + TOL_EIG, True):
@@ -708,7 +704,7 @@ def assert_tops_and_counts(g, name):
     sums are all equal, are bit-equal to ``reference_top``; top(1) of equal
     row sums c is c, as ``lambda1`` has it. Every count of
     ``check_counts`` equals the dense count. Returns the counts used."""
-    spec = eigenvalues(g, compute_residual=False)
+    spec = eigenvalues(g)
     top2 = InertiaCounts(g).top(2)
     assert top2 == reference_top(g, 2), name
     top1 = InertiaCounts(g).top(1)
@@ -779,9 +775,9 @@ def test_the_top_gap_bound_picks_the_lanczos_that_finishes(g, shifted, monkeypat
     real_lanczos = spectral._lanczos_top
     calls = []
 
-    def recorded(a, k, **kwargs):
-        calls.append("sigma" in kwargs)
-        return real_lanczos(a, k, **kwargs)
+    def recorded(a, k, sigma=None):
+        calls.append(sigma is not None)
+        return real_lanczos(a, k, sigma)
 
     monkeypatch.setattr(spectral, "_lanczos_top", recorded)
     InertiaCounts(g).top(2)
@@ -861,7 +857,7 @@ def test_second_eig_row_counts_below_minus_b_without_a_factorization(n, lhs, fp_
     assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
     assert sizes == [sizes[0]] * 2
     assert (row["lhs"], row["fp_lhs"]) == (lhs, fp_lhs)
-    dense = eigenvalues(g, compute_residual=False)
+    dense = eigenvalues(g)
     assert row["lhs"] == thm_checker(g, "second-eig", spectrum=dense).lhs
     assert row["fp_lhs"] == en_route_finite_param(g, dense, x, theta)[3].lhs
 
@@ -874,7 +870,7 @@ def test_the_shared_order_is_computed_once(spec, monkeypatch):
     graph makes one ordering call in all (an MMD LU that met that pivot
     would leave no order to share)."""
     g = generate(spec)
-    dense = eigenvalues(g, compute_residual=False)
+    dense = eigenvalues(g)
     orderings, _ = recorded_factorizations(monkeypatch)
     counts = InertiaCounts(g)
     assert counts.below(2.0) == dense.below(2.0) and counts._below[2.0] is None
@@ -981,7 +977,7 @@ def test_block_route_counts_match_the_dense_spectrum(d, half_n, head_block, seed
     within 1e-6 of an eigenvalue are left out, where the dense count itself
     can round."""
     g = generate(FamilySpec("random-regular", n=2 * half_n, d=d, seed=seed))
-    vals = eigenvalues(g, compute_residual=False).values
+    vals = eigenvalues(g).values
     rng = np.random.default_rng(seed)
     shifts = [s for s in [*rng.uniform(-d, d, 8), vals[0] - 0.01, vals[0] - 1.0]
               if np.min(np.abs(vals - s)) > 1e-6]
@@ -1041,7 +1037,7 @@ def test_a_refused_block_shift_goes_to_the_shared_order_lu(monkeypatch):
     calls = recorded_block_pivots(monkeypatch)
     dense = recorded_block_pivots(monkeypatch, whole=True)
     orderings, _ = recorded_factorizations(monkeypatch)
-    assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0) == 101
+    assert counts.below(0.0) == eigenvalues(g).below(0.0) == 101
     assert calls == [(0.0, None)] and orderings == ["NATURAL"] and dense == [(0.0, 101)]
 
 
@@ -1092,7 +1088,7 @@ def test_counts_beyond_the_row_sum_bound_factor_nothing(monkeypatch):
     counts = InertiaCounts(g)
     # -2 and 2 are eigenvalues: shifts at +-B go to the factorization, which
     # refuses them, and so get the dense spectrum's counts
-    spec = eigenvalues(g, compute_residual=False)
+    spec = eigenvalues(g)
     for sigma in (-2.0, 2.0):
         for inclusive in (False, True):
             assert counts.below(sigma, inclusive) == spec.below(sigma, inclusive)
@@ -1113,7 +1109,7 @@ def test_a_refused_exact_eigenvalue_is_counted_up_to_rounding():
     counts at 2 itself, at 2 -+ TOL_EIG, are certified and exact."""
     g = generate(FamilySpec("cycle", n=12))
     counts = InertiaCounts(g)
-    dense = eigenvalues(g, compute_residual=False)
+    dense = eigenvalues(g)
     for inclusive in (False, True):
         assert counts.below(2.0, inclusive) == dense.below(2.0, inclusive) in (11, 12)
     assert counts._below[2.0] is None
@@ -1129,7 +1125,7 @@ def test_top_certified_from_a_count_beyond_the_row_sum_bound():
     g = build_graph(12, edges)
     counts = InertiaCounts(g)
     x = counts.top(1)
-    assert abs(x - eigenvalues(g, compute_residual=False).top(1)) <= TOL_EIG
+    assert abs(x - eigenvalues(g).top(1)) <= TOL_EIG
     assert counts._below[x + TOL_EIG] == (12, None)
     assert counts._below[x - TOL_EIG][0] == 11
 
@@ -1208,8 +1204,8 @@ CLOSED_FORMS = [
 @pytest.mark.parametrize("spec, values", CLOSED_FORMS, ids=lambda v: getattr(v, "describe", str)())
 def test_inertia_counts_at_exact_eigenvalues(spec, values):
     g = generate(spec)
-    exact = Spectrum(np.sort(np.array(values)), 0.0)
-    dense = eigenvalues(g, compute_residual=False)
+    exact = Spectrum(np.sort(np.array(values)))
+    dense = eigenvalues(g)
     counts = InertiaCounts(g)
     distinct = sorted(set(np.round(values, 12)))
     ends = []
@@ -1246,7 +1242,7 @@ def test_inertia_counts_fall_back_to_dense_once(corpus, monkeypatch):
     solve is top's; the dense LDL^T certifies every count."""
     irregular = random_connected_graph(7, n_min=60, n_max=60, weighted=True)
     graphs = [corpus[7][1], irregular]  # random-regular n=150 d=4
-    spectra = [eigenvalues(g, compute_residual=False) for g in graphs]
+    spectra = [eigenvalues(g) for g in graphs]
     real_splu = scipy.sparse.linalg.splu
 
     class OffDiagonal:
@@ -1295,7 +1291,7 @@ def test_the_dense_ldlt_refuses_or_counts_as_the_dense_spectrum(graph_and_exact)
     refuse the shift or give the dense spectrum's count."""
     g, exact = graph_and_exact
     assume(g.n > 0)
-    spec = eigenvalues(g, compute_residual=False)
+    spec = eigenvalues(g)
     counts = InertiaCounts(g)
     offsets = np.array([-1e-6, -1e-8, -1e-9, 1e-9, 1e-8, 1e-6])
     for sigma in [*(np.unique(spec.values)[:, None] + offsets).ravel(), *np.unique(exact)]:
@@ -1337,7 +1333,7 @@ def test_later_block_shifts_make_no_eigensolve(monkeypatch):
     counts.below(0.123)
     calls = recorded_block_pivots(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigendecomposed a head block"))
-    vals = eigenvalues(g, compute_residual=False)
+    vals = eigenvalues(g)
     for sigma in (0.456, -1.5, 3.2):
         assert counts.below(sigma) == vals.below(sigma)
     assert [sigma for sigma, count in calls if count is not None] == [0.456, -1.5, 3.2]
@@ -1352,7 +1348,7 @@ def test_the_dense_ldlt_runs_up_to_the_cap(cap, dense, monkeypatch):
     monkeypatch.setattr(spectral, "DEFAULT_SOLVER_CAP", cap)
     calls = recorded_block_pivots(monkeypatch, whole=True)
     counts = InertiaCounts(g)
-    assert counts.below(0.0) == eigenvalues(g, compute_residual=False).below(0.0) == 101
+    assert counts.below(0.0) == eigenvalues(g).below(0.0) == 101
     assert calls == dense and (counts._below[0.0] is None) == (not dense)
 
 
@@ -1390,7 +1386,7 @@ def test_a_refused_certificate_falls_through_to_the_next_route(n, sigma, refused
                         routes.append("block" if split.h else "ldlt") or real_block(self, s, split))
     monkeypatch.setattr(InertiaCounts, "_certify", certify)
     counts = InertiaCounts(g)
-    assert counts.below(sigma) == eigenvalues(g, compute_residual=False).below(sigma)
+    assert counts.below(sigma) == eigenvalues(g).below(sigma)
     assert routes == tried
     assert (counts._below[sigma] is None) == (refused == len(seen))
 
@@ -1405,7 +1401,7 @@ def test_a_nan_point_raises_before_anything_is_factored(spec, monkeypatch):
     no_spectrum(monkeypatch)
     for count in (count_at_most, count_below, InertiaCounts.below, Spectrum.below):
         with pytest.raises(GraphError, match="NaN"):
-            count(Spectrum(np.zeros(g.n), 0.0) if count is Spectrum.below else counts, math.nan)
+            count(Spectrum(np.zeros(g.n)) if count is Spectrum.below else counts, math.nan)
     assert counts._below == {}
     assert count_at_most(counts, -math.inf) == count_below(counts, -math.inf) == 0
     assert count_at_most(counts, math.inf) == count_below(counts, math.inf) == g.n
