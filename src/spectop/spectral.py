@@ -66,13 +66,14 @@ SHIFT_INVERT_GAP = 1e-3
 # each ball stopped once its Collatz-Wielandt bounds agree to this relative
 # width, or solved densely after this many sparse products. The bounds are
 # tested once per filter of BALL_FILTER_DEGREE products; the filter damps
-# the interval from minus the largest row sum to BALL_FILTER_CUT of the way
-# up to the Rayleigh quotient.
+# the interval from minus the largest row sum to b, from BALL_FILTER_CUT (the
+# floor) to BALL_FILTER_TOP (the ceiling) of the way up to the Rayleigh quotient.
 BALL_CHUNK_ORDER = 5000
 BALL_CW_WIDTH = 1e-10
 BALL_POWER_BUDGET = 2000
 BALL_FILTER_DEGREE = 8
 BALL_FILTER_CUT = 0.9
+BALL_FILTER_TOP = 0.99
 
 # ``lambda1`` of an irregular graph: a dense top-only solve up to this order,
 # ``_power_tops`` on its components above it. On the 503 irregular G - W of a
@@ -734,19 +735,20 @@ def _power_tops(g: WeightedGraph, ids: np.ndarray, sizes: np.ndarray) -> np.ndar
     (m = ``BALL_FILTER_DEGREE``) on the block's interval
     [lo, b] = [c - e, c + e], by the three-term recurrence, whose first
     product is the test's y; then it scales each block to max |x| = 1.
-    lo = -(the block's largest row sum) <= lambda_min, and
-    b = lo + theta (max(rho, 0) - lo) < lambda1 (theta =
-    ``BALL_FILTER_CUT``). T_m is at most 1 in size on [lo, b] and grows
-    fastest at lambda1, so the Perron component keeps its positive sign and
-    gains on every other one, and a block is tested every m products.
-    lambda1 - lo <= -2 lo and e >= -theta lo / 2, so between tests the
-    iterates grow by at most T_m(4 / theta - 1) sqrt(order), about
-    2e6 sqrt(order): row sums up to about 1e290 cannot overflow. Like every
-    other operation here, the filter acts on each block alone, so the
-    values do not depend on which blocks share ``a``. A block still open
-    after ``BALL_POWER_BUDGET`` products gets the dense top-only solve of
-    ``lambda1`` (``_dense_top``) up to order ``DEFAULT_SOLVER_CAP`` and
-    raises :class:`SolverBudgetError` above it.
+    lo = -(the block's largest row sum) <= lambda_min, and b < lambda1. T_m
+    is at most 1 in size on [lo, b] and grows fastest at lambda1, so the
+    Perron component keeps its sign and gains on every other one. b sets only
+    the speed: the test certifies any strictly positive x. Until a filter
+    cuts the block's Collatz-Wielandt width by less than it cuts all
+    eigenvalues under the floor, b is the floor lo + theta (max(rho, 0) - lo),
+    theta = ``BALL_FILTER_CUT``; then :func:`_filter_end` moves it. b is
+    never under the floor, so lambda1 - lo <= -2 lo and e >= -theta lo / 2,
+    and between tests the iterates grow by at most T_m(4 / theta - 1)
+    sqrt(order), about 2e6 sqrt(order): row sums up to about 1e290 cannot
+    overflow. Each block's arithmetic is its own, so the values do not
+    depend on which blocks share ``a``. A block still open after
+    ``BALL_POWER_BUDGET`` products gets its dense top, ``_dense_top``, up to
+    order ``DEFAULT_SOLVER_CAP`` and raises :class:`SolverBudgetError` above.
     """
     indptr, indices, weights = _induced_arrays(g, ids, np.arange(len(sizes)).repeat(sizes))
     a = sp.csr_matrix((weights, indices, indptr), shape=(len(ids), len(ids)))
@@ -757,19 +759,26 @@ def _power_tops(g: WeightedGraph, ids: np.ndarray, sizes: np.ndarray) -> np.ndar
     y = a @ x
     # x = 1: y holds the row sums
     lo = -np.maximum.reduceat(y, starts)
+    adapt, e, spread, width = np.zeros(len(starts), dtype=bool), *np.full((3, len(starts)), np.inf)
+    floor_cut = 1.0 / np.cosh(BALL_FILTER_DEGREE * np.arccosh(2.0 / BALL_FILTER_CUT - 1.0))
     for _ in range(0, BALL_POWER_BUDGET, BALL_FILTER_DEGREE):
         # inf where x is not positive, so such a block cannot settle
         q = np.divide(y, x, out=np.full_like(y, np.inf), where=x > 0)
         q_min = np.minimum.reduceat(q, starts)
         q_max = np.maximum.reduceat(q, starts)
-        rayleigh = np.add.reduceat(x * y, starts) / np.add.reduceat(x * x, starts)
-        done = todo & (q_max < np.inf) & (q_max - q_min <= BALL_CW_WIDTH * q_max)
-        tops[done] = np.maximum(q_min, rayleigh)[done]
+        rho = np.maximum(np.add.reduceat(x * y, starts) / np.add.reduceat(x * x, starts), 0.0)
+        width, adapt = q_max - q_min, adapt | (q_max - q_min > floor_cut * width)
+        done = todo & (q_max < np.inf) & (width <= BALL_CW_WIDTH * q_max)
+        tops[done] = np.maximum(q_min, rho)[done]
         todo &= ~done
         if not todo.any():
             return tops
-        # T_k of (a - c) / e, where [lo, b] = [c - e, c + e]
-        e = 0.5 * BALL_FILTER_CUT * (np.maximum(rayleigh, 0.0) - lo)
+        # T_k of (a - c) / e, where [lo, b] = [c - e, c + e]; b at the floor
+        last, e = e, 0.5 * BALL_FILTER_CUT * (rho - lo)
+        if adapt.any():
+            res = np.add.reduceat((y - rho.repeat(sizes) * x) ** 2, starts)
+            res[~adapt | (q_max == np.inf)] = np.inf  # b at the floor, or x not positive
+            e, spread = np.where(adapt, (_filter_end(lo, rho, last, spread, res) - lo) / 2, e), res
         e[e == 0] = 1.0  # an edgeless vertex, settled at the first test
         c = (lo + e).repeat(sizes)
         slope = (2.0 / e).repeat(sizes)
@@ -789,6 +798,19 @@ def _power_tops(g: WeightedGraph, ids: np.ndarray, sizes: np.ndarray) -> np.ndar
     return tops
 
 
+def _filter_end(lo: np.ndarray, rho: np.ndarray, e: np.ndarray, old: np.ndarray,
+                new: np.ndarray) -> np.ndarray:
+    """Each block's next filter end: the last, b = lo + 2e, raised to the floor
+    and to the lambda_2 at which the filter's cut of its squared residual,
+    new / old, is (T_m(l2) / T_m(l1))^2 (l = (lambda - lo - e) / e, l1 at rho;
+    Manteuffel 1977), or to b if a residual is not finite; then cut to the ceiling."""
+    known = (old > 0) & (old + new < np.inf)
+    shrink = np.sqrt(np.divide(new, old, out=np.zeros_like(new), where=known))
+    grow = shrink * np.cosh(BALL_FILTER_DEGREE * np.arccosh(np.maximum((rho - lo) / e - 1.0, 1.0)))
+    top = lo + e * (1.0 + np.cosh(np.arccosh(np.maximum(grow, 1.0)) / BALL_FILTER_DEGREE))
+    return np.clip(top, lo + BALL_FILTER_CUT * (rho - lo), lo + BALL_FILTER_TOP * (rho - lo))
+
+
 def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     """lambda1 of every radius-``r`` ball, indexed by center.
 
@@ -797,12 +819,10 @@ def lambda1_balls(g: WeightedGraph, r: int) -> np.ndarray:
     other balls, in center order, are laid side by side in block-diagonal
     matrices of total order about ``BALL_CHUNK_ORDER`` and go through
     :func:`_power_tops` together, so each value is a lower bound on the
-    ball's lambda1 up to rounding, certified by a Collatz-Wielandt test on
-    a strictly positive iterate of a Chebyshev-filtered power iteration,
-    one test per ``BALL_FILTER_DEGREE`` sparse products. Each ball's
-    arithmetic is its own, so the values do not depend on
-    ``BALL_CHUNK_ORDER``, and balls that coincide as vertex sets get equal
-    values without being grouped.
+    ball's lambda1 up to rounding, certified by its Collatz-Wielandt test on
+    a strictly positive iterate. Each ball's arithmetic is its own, so the
+    values do not depend on ``BALL_CHUNK_ORDER``, and balls that coincide as
+    vertex sets get equal values without being grouped.
 
     A ball repeated k times is iterated k times. The worst case is a large
     clique with a short tail at r = 1: on K_200 plus a 2-vertex path, 199

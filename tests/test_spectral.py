@@ -526,9 +526,11 @@ def test_lambda1_balls_of_an_edgeless_vertex(r):
 
 
 def test_lambda1_balls_never_settle_a_sign_changing_iterate(monkeypatch):
-    # with the cut at the Rayleigh quotient itself, every eigenvalue between
-    # it and lambda1 is amplified too, and the iterates change sign
+    # with the floor and the ceiling of the filter end both at the Rayleigh
+    # quotient itself, every eigenvalue between it and lambda1 is amplified
+    # too, and the iterates change sign
     monkeypatch.setattr(spectral, "BALL_FILTER_CUT", 1.0)
+    monkeypatch.setattr(spectral, "BALL_FILTER_TOP", 1.0)
     divide = np.divide
     signs_changed = []
 
@@ -558,8 +560,88 @@ def test_lambda1_balls_vector_product_count(monkeypatch):
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
     lambda1_balls(g, 4)
-    # plain power iteration on B + I, tested on every 4th product, made 2596
-    assert len(products) <= 1328
+    # plain power iteration on B + I, tested on every 4th product, made 2596;
+    # the T_8 filter with its end always at the floor made 1328
+    assert len(products) <= 680
+
+
+# sparse products per local-global corpus check at r = 1..4 with every
+# filter end at the floor (6778 in all); moving the end up to each block's
+# lambda_2 estimate took 5314
+FLOOR_FILTER_PRODUCTS = {
+    "cycle n=40": (41, 33, 41, 41),
+    "cycle n=100": (41, 33, 41, 41),
+    "cycle n=400": (41, 33, 41, 41),
+    "torus-grid dims=(5, 4)": (33, 41, 41, 0),
+    "torus-grid dims=(8, 5)": (33, 41, 41, 41),
+    "torus-grid dims=(10, 8)": (33, 41, 41, 41),
+    "random-regular n=60 d=4 seed=101": (33, 49, 81, 57),
+    "random-regular n=150 d=4 seed=102": (33, 57, 210, 420),
+    "random-regular n=300 d=4 seed=103": (33, 90, 355, 1328),
+    "random-regular n=50 d=6 seed=104": (41, 49, 41, 0),
+    "random-regular n=120 d=6 seed=105": (41, 97, 123, 41),
+    "random-regular n=400 d=6 seed=106": (41, 187, 1157, 1319),
+}
+
+
+def test_no_local_global_corpus_check_needs_more_products(corpus, monkeypatch):
+    products = []
+    matmul = sp.csr_matrix.__matmul__
+
+    def counted(a, b):
+        if isinstance(b, np.ndarray):
+            products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted)
+    counts = {}
+    for name, g in corpus:
+        for r in range(1, 5):
+            products.clear()
+            local_global_check(g, r)
+            counts[name, r] = len(products)
+    assert {name for name, _ in corpus} == set(FLOOR_FILTER_PRODUCTS)
+    for (name, r), n in counts.items():
+        assert n <= FLOOR_FILTER_PRODUCTS[name][r - 1], (name, r, n)
+    assert sum(counts.values()) <= 5314
+
+
+def weighted_path(n, seed):
+    weights = rng_for(seed).uniform(0.5, 2.0, n - 1).tolist()
+    return build_graph(n, [(i, i + 1, w) for i, w in enumerate(weights)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec, r, loses", [
+    (FamilySpec("random-regular", n=300, d=4, seed=103), 4, False),
+    (FamilySpec("random-regular", n=120, d=6, seed=105), 2, False),
+    # some balls' iterates stop being strictly positive after a finite residual
+    ("weighted path n=16 seed=8", 7, True),
+])
+def test_ball_tops_match_dense_where_the_filter_end_moves(spec, r, loses, monkeypatch):
+    filter_end, calls = spectral._filter_end, []
+
+    def spy(lo, rho, e, old, new):
+        end = filter_end(lo, rho, e, old, new)
+        calls.append((lo, rho, e, old, new, end))
+        return end
+
+    monkeypatch.setattr(spectral, "_filter_end", spy)
+    g = generate(spec) if isinstance(spec, FamilySpec) else weighted_path(16, 8)
+    assert_tops_match_dense(g, r)
+    moved = lost = 0
+    for lo, rho, e, old, new, end in calls:
+        # the last end, lo + 2e, between the floor and the ceiling
+        ceiling = lo + spectral.BALL_FILTER_TOP * (rho - lo)
+        kept = np.clip(lo + 2 * e, lo + spectral.BALL_FILTER_CUT * (rho - lo), ceiling)
+        assert np.all(kept <= end) and np.all(end <= ceiling)
+        # a residual that is not finite at either test leaves the end where it was
+        unknown = ~(np.isfinite(old) & np.isfinite(new))
+        assert np.array_equal(end[unknown], kept[unknown])
+        moved += int(np.sum(end > kept))
+        lost += int(np.sum(np.isfinite(old) & np.isinf(new)))
+    assert moved > 0
+    assert (lost > 0) == loses
 
 
 def test_lambda1_balls_do_not_depend_on_the_chunking(monkeypatch):
