@@ -280,6 +280,12 @@ def thm_checker(
     constant is measured, never asserted against any absolute value.
     lambda_2 and the counts come from ``spectrum``, by default the graph's
     :class:`InertiaCounts`.
+
+    ``tail_mass`` holds when delta_top = mu(x, inf) is under its cap read
+    high, counting the eigenvalues within ``TOL_EIG`` of x; one that passes
+    only read low raises as undecided.  ``delta_top`` reports the low
+    reading.  The second-eig preset reads it low only: its x is lambda_2,
+    which a high reading would count.
     """
     if g.n < 2:
         raise GraphError("thm_checker needs at least two vertices")
@@ -330,6 +336,14 @@ def thm_checker(
         if not passed:
             raise HypothesisViolatedError(
                 f"hypothesis {name!r} violated for variant {variant_kind!r}"
+            )
+    if variant_kind != "second-eig":
+        delta_high = (g.n - count_below(spectrum, x)) / g.n
+        if not _hyp_leq(delta_high, tail_cap):
+            raise HypothesisViolatedError(
+                f"hypothesis 'tail_mass' undecided for variant {variant_kind!r}: "
+                f"delta_top is {delta_top!r} read low and {delta_high!r} read high, "
+                f"against a cap of {tail_cap!r}"
             )
 
     lhs = max(0, at_most - count_below(spectrum, (1.0 - theta) * x)) / g.n

@@ -48,7 +48,6 @@ import scipy
 
 from . import __version__
 from .bounds import (
-    HypothesisViolatedError,
     InterlacingReport,
     finite_param_check,
     interlacing_check,
@@ -1016,13 +1015,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_seeds(args)
         return args.func(args)
-    except HypothesisViolatedError as exc:
-        print(f"error: hypothesis violated: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
+    except (OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

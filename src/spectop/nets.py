@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,37 +112,36 @@ def _ranked_bfs(
     g: WeightedGraph, key: np.ndarray, roots
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """BFS forest of g from ``roots``, taking the roots and scanning each row
-    in ascending (key, id): one scipy BFS from a virtual root n adjacent to
-    ``roots``, on g relabelled by that rank so that its sorted rows are.
-    Returns ``parent`` (a root or unreached vertex is its own) and the
+    in ascending (key, id): one scipy BFS, which scans a row in stored order,
+    from a virtual root n adjacent to ``roots``, on g's rows sorted by that
+    rank. Returns ``parent`` (a root or unreached vertex is its own) and the
     ``layers``, each depth's vertices in queue order.
     """
     n = g.n
     by_rank = np.argsort(key, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[by_rank] = np.arange(n)
-    # the key in int64 (it overflows int32 above n = 46341), the index
+    # the sort key in int64 (it overflows int32 above n = 46341), the index
     # arrays in int32, which the csr_matrix constructor then does not copy
-    entries = np.sort(rank[g.rows()] * n + rank[g.indices])
-    indices = np.append(entries % max(n, 1), np.sort(rank[list(roots)])).astype(np.int32)
-    indptr = np.zeros(n + 2, dtype=np.int32)
-    np.cumsum(np.diff(g.indptr)[by_rank], out=indptr[1:n + 1])
-    indptr[n + 1] = len(indices)
+    base = g.rows() * n
+    entries = np.sort(base + rank[g.indices]) - base
+    indices = by_rank[np.append(entries, np.sort(rank[list(roots)]))].astype(np.int32)
+    indptr = np.append(g.indptr, len(indices)).astype(np.int32)
     a = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
     order, pred = sp.csgraph.breadth_first_order(a, n, directed=True, return_predecessors=True)
+    up = pred[:n]
+    parent = np.where((up < 0) | (up == n), np.arange(n), up)
     pos = np.empty(n + 1, dtype=np.int64)
     pos[order] = np.arange(len(order))
     # parents' queue positions never decrease along the queue, so the layer
-    # after the one ending at queue position e ends at after[e]
-    after = (1 + pos[pred[order[1:]]].searchsorted(np.arange(len(order) + 1))).tolist()
-    ends = [1]
-    while ends[-1] < len(order):
-        ends.append(after[ends[-1]])
-    reached, up = order[1:], pred[order[1:]]
-    parent = np.arange(n)
-    parent[by_rank[reached]] = by_rank[np.where(up == n, reached, up)]
-    reached = by_rank[reached]
-    return parent, [reached[s - 1:e - 1] for s, e in zip(ends, ends[1:])]
+    # after the one ending at reached[e - 1] ends before the first vertex
+    # whose parent is queued after reached[e - 1], at queue position e
+    reached = order[1:]
+    ppos = pos[pred[reached]].tolist()
+    ends = [0]
+    while ends[-1] < len(ppos):
+        ends.append(bisect_left(ppos, ends[-1] + 1, ends[-1]))
+    return parent, [reached[s:e] for s, e in zip(ends, ends[1:])]
 
 
 def _tree_net(

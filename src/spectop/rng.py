@@ -8,8 +8,9 @@ vertex's draw independent of how many other vertices were processed first.
 
 ``keyed_uniforms`` draws the labels of keys 0..n-1 at once: it runs numpy's
 SeedSequence algorithm (entropy mixing into a 4-word pool, then
-``generate_state``) as array arithmetic over the keys, and is bit-identical
-to ``keyed_uniform`` key by key.
+``generate_state``) with every word that all keys share hashed once as a
+Python int and only the key-dependent words as uint32 arrays, and is
+bit-identical to ``keyed_uniform`` key by key.
 """
 from __future__ import annotations
 
@@ -55,23 +56,28 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+def _wrap(value: int | np.ndarray) -> int | np.ndarray:
+    """value mod 2**32: a uint32 array wraps by itself, a Python int is masked."""
+    return value & _MASK32 if isinstance(value, int) else value
+
+
 def _hasher(init: int, mult: int):
     """SeedSequence's hash step: xor with a running constant, which advances
     by ``mult`` on every call, then multiply by it and fold the high half."""
     const = init
 
-    def step(value: np.ndarray) -> np.ndarray:
+    def step(value: int | np.ndarray) -> int | np.ndarray:
         nonlocal const
         value = value ^ const
         const = (const * mult) & _MASK32
-        value = (value * const) & _MASK32
+        value = _wrap(value * const)
         return value ^ (value >> _XSHIFT)
 
     return step
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+def _mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+    result = _wrap(_wrap(_MIX_MULT_L * x) - _wrap(_MIX_MULT_R * y))
     return result ^ (result >> _XSHIFT)
 
 
@@ -80,14 +86,15 @@ def keyed_uniforms(seed: int, n: int) -> np.ndarray:
 
     Equal to ``[keyed_uniform(seed, v) for v in range(n)]`` bit for bit: the
     entropy of key v is the seed's words followed by the one word v, so n is
-    at most 2**32.  The uint32 arithmetic runs in uint64 lanes, masked.
+    at most 2**32.  A word no key changes (a seed word, the zero padding, and
+    every hash and mix of those alone) is a Python int, computed once; the
+    rest are uint32 arrays, whose arithmetic wraps mod 2**32 unmasked.
     """
     n = int(n)
     if n > 2 ** 32:
         raise ValueError("keyed_uniforms draws at most 2**32 keys")
-    entropy = [np.full(n, w, dtype=np.uint64) for w in _uint32_words(int(seed))]
-    entropy.append(np.arange(n, dtype=np.uint64))
-    entropy += [np.zeros(n, dtype=np.uint64)] * (_POOL_SIZE - len(entropy))
+    entropy = [*_uint32_words(int(seed)), np.arange(n, dtype=np.uint32)]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
 
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -99,11 +106,11 @@ def keyed_uniforms(seed: int, n: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
 
-    # generate_state(1, dtype=uint64): two uint32 words, low word first
+    # generate_state(1, dtype=uint64) is (high << 32 | low) >> 11, times 2**-53;
+    # both terms below and their sum are exact doubles
     draw = _hasher(_INIT_B, _MULT_B)
     low, high = draw(pool[0]), draw(pool[1])
-    state = low | (high << np.uint64(32))
-    return (state >> _U53) * _INV
+    return high * 2.0 ** -32 + (low >> 11) * _INV
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

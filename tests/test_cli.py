@@ -139,6 +139,18 @@ def test_thm_expander_size_floor_overflow_exits_2(tmp_path, monkeypatch, capsys)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_thm_tail_mass_read_high_undecided_exits_2(tmp_path, monkeypatch, capsys):
+    # x = lambda_2 = 2 cos(2 pi / n), 9.2e-9 below lambda_1 = 2: delta_top is
+    # 0 read low, but the true mu(x, inf) = 1/n = 1.5e-5 exceeds the cap
+    # 2^-20 = 9.5e-7, and the high reading, 3/n, sees it
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "thm", "--variant", "main", "--family", "cycle", "--n", "65536",
+            "--x", "1.9999999908082147", "--theta", "0.5", "--out", "thm.json"]
+    assert run(argv) == 2
+    assert "hypothesis 'tail_mass' undecided" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rad_drop_overflowing_power_is_inf(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["verify", "rad-drop", "--family", "cycle", "--n", "30", "--r", "600",

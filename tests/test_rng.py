@@ -21,6 +21,11 @@ def test_keyed_uniforms_bit_identical_to_per_key_stream(seed):
         got = keyed_uniforms(seed, n)
         assert got.dtype == np.float64
         assert np.array_equal(got, want), (seed, n)
+    # keys of up to 20 bits, the last ones and a strided sample
+    n = 2**20
+    got = keyed_uniforms(seed, n)
+    keys = np.r_[0:n:4093, n - 64:n]
+    assert np.array_equal(got[keys], [keyed_uniform(seed, v) for v in keys]), seed
 
 
 def test_keyed_uniforms_rejects_negative_seed():
