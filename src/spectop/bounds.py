@@ -17,7 +17,6 @@ zeroing that the transfer arguments rely on.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -35,6 +34,7 @@ from .graphs import (
 from .nets import NetResult, NotANetError, _exp
 from .spectral import (
     TOL_EIG,
+    Check,
     InertiaCounts,
     Spectrum,
     count_at_most,
@@ -45,14 +45,12 @@ from .spectral import (
 __all__ = [
     "BoundParams",
     "BoundTerms",
-    "BoundReport",
     "HypothesisViolatedError",
     "RSSelection",
     "finite_param_rhs",
     "finite_param_check",
     "select_r_s",
     "thm_checker",
-    "InterlacingReport",
     "interlacing_check",
 ]
 
@@ -140,28 +138,6 @@ def finite_param_rhs(params: BoundParams) -> BoundTerms:
     return BoundTerms(moment=moment, tail=tail, net=net)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one bound verification.
-
-    ``hypotheses`` maps hypothesis names to booleans; ``implied_constant``
-    is lhs / rate for theorem variants carrying a rate, else None.
-    """
-
-    kind: str
-    lhs: float
-    rhs: float
-    ok: bool
-    terms: dict[str, float]
-    params: dict[str, float | int | str | bool | None]
-    hypotheses: dict[str, bool]
-    rate: float | None = None
-    implied_constant: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
 def finite_param_check(
     g: WeightedGraph,
     x: float,
@@ -170,7 +146,7 @@ def finite_param_check(
     s: int,
     net: NetResult,
     spectrum: Spectrum | InertiaCounts | None = None,
-) -> BoundReport:
+) -> Check:
     """Measure mu[(1-theta) x, x] and compare with the window bound.
 
     The net must be a verified r-net for the same radius; its covering
@@ -204,7 +180,7 @@ def finite_param_check(
     lhs = max(0, at_most - count_below(spectrum, (1.0 - theta) * x)) / g.n
     rhs = terms.total
     ok = lhs <= rhs + FINITE_PARAM_TOL
-    return BoundReport(
+    return Check(
         kind="finite-param",
         lhs=lhs,
         rhs=rhs,
@@ -269,7 +245,7 @@ def thm_checker(
     theta: float | None = None,
     c: float | None = None,
     spectrum: Spectrum | InertiaCounts | None = None,
-) -> BoundReport:
+) -> Check:
     """Check a non-concentration theorem instance and report the implied constant.
 
     Variants: ``main`` (rate 1 / log_{delta_tilde}(1/theta)), ``expander``
@@ -277,7 +253,8 @@ def thm_checker(
     ``second-eig`` (the main variant preset at x = lambda_2 and
     theta = 10 / log_{delta_tilde} n).  Hypothesis failures raise
     :class:`HypothesisViolatedError` naming the hypothesis; the implied
-    constant is measured, never asserted against any absolute value.
+    constant is measured, never asserted against any absolute value, so
+    ``ok`` says only that the hypotheses hold; rhs is the rate.
     lambda_2 and the counts come from ``spectrum``, by default the graph's
     :class:`InertiaCounts`.
 
@@ -349,12 +326,11 @@ def thm_checker(
     lhs = max(0, at_most - count_below(spectrum, (1.0 - theta) * x)) / g.n
     selection = select_r_s(theta, dt)
     implied = lhs / rate if rate not in (0.0, math.inf) else 0.0
-    return BoundReport(
+    return Check(
         kind=f"thm-{variant_kind}",
         lhs=lhs,
         rhs=rate,
         ok=True,
-        terms={},
         params={
             "x": x,
             "theta": theta,
@@ -376,28 +352,16 @@ def thm_checker(
 # -- interlacing --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InterlacingReport:
-    mode: str
-    u_size: int
-    halfline_dev: int
-    halfline_bound: int
-    interval_dev: int
-    interval_bound: int
-    grid_size: int
-    ok: bool
-
-
-def interlacing_check(
-    g: WeightedGraph, u: VertexSet, mode: str = "delete"
-) -> InterlacingReport:
+def interlacing_check(g: WeightedGraph, u: VertexSet, mode: str = "delete") -> Check:
     """Compare eigenvalue counts of G and of G with U removed.
 
     ``mode="delete"`` removes the vertices; ``mode="zero-rows-cols"`` keeps
     them as isolated vertices.  Counts m(-inf, x] may differ by at most |U|
-    at every grid point, and interval counts m[x, y] by at most 2|U|.  The
-    grid takes midpoints between consecutive points of the merged spectra,
-    plus one point beyond each extreme, where counting is exact.
+    at every grid point, and interval counts m[x, y] by at most 2|U|; the
+    record joins the two as lhs = max(halfline_dev, interval_dev / 2)
+    against rhs = |U|.  The grid takes midpoints between consecutive points
+    of the merged spectra, plus one point beyond each extreme, where
+    counting is exact.
     """
     spec_g = eigenvalues(g)
     if mode == "delete":
@@ -442,15 +406,10 @@ def interlacing_check(
             (run_max - d_le).max(initial=0),
         )
     )
-    size = len(u)
-    return InterlacingReport(
-        mode=mode,
-        u_size=size,
-        halfline_dev=halfline_dev,
-        halfline_bound=size,
-        interval_dev=interval_dev,
-        interval_bound=2 * size,
-        grid_size=len(grid),
-        ok=halfline_dev <= size and interval_dev <= 2 * size,
+    size, lhs = len(u), max(halfline_dev, interval_dev / 2)
+    return Check(
+        "interlacing", lhs, size, lhs <= size,
+        terms={"halfline_dev": halfline_dev, "halfline_bound": size,
+               "interval_dev": interval_dev, "interval_bound": 2 * size},
+        params={"n": g.n, "mode": mode, "u_size": size, "grid_size": len(grid)},
     )
-

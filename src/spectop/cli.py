@@ -48,7 +48,6 @@ import scipy
 
 from . import __version__
 from .bounds import (
-    InterlacingReport,
     finite_param_check,
     interlacing_check,
     select_r_s,
@@ -63,12 +62,12 @@ from .graphs import (
     write_graph,
 )
 from .localsim import LocalLabels, local_net, theory_params
-from .nets import DropReport, greedy_tree_net, net_removal_drop_check, random_expander_net
+from .nets import greedy_tree_net, net_removal_drop_check, random_expander_net
 from .rng import rng_for, trial_seed
 from .spectral import (
     DEFAULT_SOLVER_CAP,
+    Check,
     InertiaCounts,
-    LocalGlobalReport,
     count_at_most,
     count_below,
     eigenvalues,
@@ -402,29 +401,28 @@ def cmd_local_net(args: argparse.Namespace) -> int:
 # check suites: one table drives `verify` and `sweep`
 
 
-def _rad_drop(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
+Row = tuple[Check, dict]
+
+
+def _rad_drop(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[Row]:
     methods = ["greedy-tree", "expander-random"] if p.method == "both" else [p.method]
-    rows = []
-    for method in methods:
-        net = _build_net(g, method, p.r, p.p, seed)
-        rep = net_removal_drop_check(g, net, p.r)
-        rows.append({"seed": seed, "n": g.n, "method": method, **asdict(rep)})
-    return rows
+    return [(net_removal_drop_check(g, _build_net(g, method, p.r, p.p, seed), p.r),
+             {"seed": seed, "method": method}) for method in methods]
 
 
-def _local_global(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
+def _local_global(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[Row]:
     radii = range(1, p.r_max + 1) if p.r is None else [p.r]
-    return [{"seed": seed, "n": g.n, **asdict(local_global_check(g, r))} for r in radii]
+    return [(local_global_check(g, r), {"seed": seed}) for r in radii]
 
 
-def _interlace(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
+def _interlace(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[Row]:
     if p.u_size < 0:
         raise GraphError(f"--u-size must be >= 0, got {p.u_size}")
     size = min(p.u_size, g.n - 1)
     picks = rng_for(seed).choice(g.n, size=size, replace=False)
     u = VertexSet.of(picks.tolist(), g.n)
     modes = ["delete", "zero-rows-cols"] if p.mode == "both" else [p.mode]
-    return [{"seed": seed, "n": g.n, **asdict(interlacing_check(g, u, m))} for m in modes]
+    return [(interlacing_check(g, u, m), {"seed": seed}) for m in modes]
 
 
 def _pick_x(rule: str, x_flag: float | None, counts: InertiaCounts, w_min: float) -> float:
@@ -441,7 +439,7 @@ def _pick_x(rule: str, x_flag: float | None, counts: InertiaCounts, w_min: float
     raise GraphError(f"unknown x rule {rule!r}")
 
 
-def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
+def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[Row]:
     if p.auto_rs:
         sel = select_r_s(p.theta, g.delta_tilde)
         if not sel.ok:
@@ -456,9 +454,7 @@ def _finite_param(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[di
     net = _build_net(g, p.method, r, p.p, seed)
     rep = finite_param_check(g, x, p.theta, r, s, net, spectrum=counts)
     terms = {"term_" + k: v for k, v in rep.terms.items()}
-    return [{"seed": seed, "n": g.n, "x": x, "theta": p.theta, "r": r, "s": s,
-             "net_size": len(net.vertices), "lhs": rep.lhs, "rhs": rep.rhs, **terms,
-             "ok": rep.ok}]
+    return [(rep, {"seed": seed, "net_size": len(net.vertices), **terms})]
 
 
 # The second-eig preset theta = 10 / log_{delta_tilde} n exceeds 1 on small or
@@ -469,12 +465,13 @@ EN_ROUTE_THETA_CAP = 0.9
 
 def en_route_finite_param(
     g: WeightedGraph, counts: InertiaCounts, x: float, theta: float
-) -> tuple[float, int, int, Any]:
+) -> Check:
     """Window-bound check at the same x the theorem instance used.
 
     theta is clamped into the bound's domain, (r, s) come from the schedule
     when it is admissible and fall back to (1, floor(1/theta)) otherwise, and
-    the net is the greedy tree net.
+    the net is the greedy tree net. The record's parameters hold the theta,
+    r and s it ran at.
     """
     theta_fp = theta if theta < 1.0 else EN_ROUTE_THETA_CAP
     sel = select_r_s(theta_fp, g.delta_tilde)
@@ -483,19 +480,15 @@ def en_route_finite_param(
     else:
         r, s = 1, max(1, int(1.0 / theta_fp))
     net = greedy_tree_net(g, r)
-    rep = finite_param_check(g, max(x, g.w_min), theta_fp, r, s, net, spectrum=counts)
-    return theta_fp, r, s, rep
+    return finite_param_check(g, max(x, g.w_min), theta_fp, r, s, net, spectrum=counts)
 
 
-def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[dict]:
+def _second_eig(g: WeightedGraph, seed: int, p: argparse.Namespace) -> list[Row]:
     counts = InertiaCounts(g)
     rep = thm_checker(g, "second-eig", spectrum=counts)
-    x, theta = rep.params["x"], rep.params["theta"]
-    theta_fp, r, s, fp = en_route_finite_param(g, counts, x, theta)
-    return [{"n": g.n, "seed": seed, "delta_tilde": g.delta_tilde, "x": x, "theta": theta,
-             "lhs": rep.lhs, "rhs": rep.rhs, "rate": rep.rate,
-             "implied_constant": rep.implied_constant, "ok": rep.ok, "fp_theta": theta_fp,
-             "fp_r": r, "fp_s": s, "fp_lhs": fp.lhs, "fp_rhs": fp.rhs, "fp_ok": fp.ok}]
+    fp = en_route_finite_param(g, counts, rep.x, rep.theta)
+    cells = {"fp_" + k: getattr(fp, k) for k in ("theta", "r", "s", "lhs", "rhs", "ok")}
+    return [(rep, {"seed": seed, **cells})]
 
 
 @dataclass(frozen=True)
@@ -504,8 +497,10 @@ class Suite:
 
     ``params`` maps each parameter to the argparse keywords of its verify
     flag (``r_max`` is ``--r-max``); the names are also the sweep grid keys.
-    ``trial(g, seed, p)`` runs one trial on one graph and returns one dict
-    per row, mapping each name in ``header`` to its cell. A row fails when
+    ``trial(g, seed, p)`` runs one trial on one graph and returns, for each
+    row, its :class:`Check` and a dict of the cells that the record does not
+    hold; every other name in ``header`` is read from the record by
+    attribute (a field, ``slack``, a term or a parameter). A row fails when
     its ``ok`` or any ``*_ok`` cell is false. A suite with ``trials`` gets a
     leading ``trial`` column; a sweep puts ``family`` in front of
     everything. A suite with ``lhs`` and ``rhs`` columns accepts a
@@ -514,7 +509,7 @@ class Suite:
 
     params: dict[str, dict]
     header: tuple[str, ...]
-    trial: Callable[[WeightedGraph, int, argparse.Namespace], list[dict]]
+    trial: Callable[[WeightedGraph, int, argparse.Namespace], list[Row]]
 
 
 TRIALS = {"type": int, "default": 1}
@@ -528,7 +523,8 @@ SUITES: dict[str, Suite] = {
             "p": {"type": float},
             "trials": TRIALS,
         },
-        header=("seed", "n", "method", *DropReport.__dataclass_fields__),
+        header=("seed", "n", "method", "r", "net_size", "lam1_g", "lam1_h", "lhs", "rhs",
+                "ok"),
         trial=_rad_drop,
     ),
     "local-global": Suite(
@@ -537,7 +533,7 @@ SUITES: dict[str, Suite] = {
             "r_max": {"type": int, "default": 3, "help": "radii 1..r_max when --r is absent"},
             "trials": TRIALS,
         },
-        header=("seed", "n", *LocalGlobalReport.__dataclass_fields__),
+        header=("seed", "n", "r", "lhs", "rhs", "slack", "ok"),
         trial=_local_global,
     ),
     "interlace": Suite(
@@ -546,7 +542,8 @@ SUITES: dict[str, Suite] = {
             "mode": {"choices": ["delete", "zero-rows-cols", "both"], "default": "both"},
             "trials": TRIALS,
         },
-        header=("seed", "n", *InterlacingReport.__dataclass_fields__),
+        header=("seed", "n", "mode", "u_size", "halfline_dev", "halfline_bound",
+                "interval_dev", "interval_bound", "grid_size", "ok"),
         trial=_interlace,
     ),
     "finite-param": Suite(
@@ -616,14 +613,14 @@ def suite_rows(
     rows: list[list] = []
     violations: list[dict] = []
     for (fam, t, seed, _), group in zip(cases, run_trials(one, len(cases), workers)):
-        for q, row in group:
+        for q, (rep, row) in group:
             row.update(family=fam.get("family"), trial=t)
             if tol is not None:
-                row["ok"] = row["ok"] and row["lhs"] <= row["rhs"] + tol
-            cells = [row[c] for c in header]
-            rows.append(cells)
-            if not all(row[c] for c in verdicts):
-                fields = dict(zip(header, (fmt(c) for c in cells)))
+                row["ok"] = rep.ok and rep.lhs <= rep.rhs + tol
+            cells = {c: row[c] if c in row else getattr(rep, c) for c in header}
+            rows.append(list(cells.values()))
+            if not all(cells[c] for c in verdicts):
+                fields = {c: fmt(v) for c, v in cells.items()}
                 violations.append(violation(name, fam, t, seed, vars(q), fields))
     if not rows:
         raise GraphError(f"{name}: no check ran; the trials, radii, grid or families are empty")

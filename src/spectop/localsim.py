@@ -297,6 +297,9 @@ def theory_params(delta: int, r: int) -> TheoryParams:
 
 @dataclass(frozen=True)
 class MtpReport:
+    """The two orders of a mass-transport sum. Not a ``Check``: it tests the
+    identity lhs = rhs, comparing |lhs - rhs| with ``MTP_TOL``."""
+
     lhs: float
     rhs: float
     deviation: float

@@ -31,12 +31,11 @@ from .graphs import (
     delete_vertices,
     is_r_net,
 )
-from .spectral import lambda1
+from .spectral import Check, lambda1
 
 __all__ = [
     "NetResult",
     "NotANetError",
-    "DropReport",
     "greedy_tree_net",
     "random_expander_net",
     "net_removal_drop_check",
@@ -198,26 +197,17 @@ def random_expander_net(
     return _finish(g, "expander-random", r, w0 | far)
 
 
-@dataclass(frozen=True)
-class DropReport:
-    r: int
-    net_size: int
-    lam1_g: float
-    lam1_h: float
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> DropReport:
+def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> Check:
     """Verify lambda1(G - W)^{2r} <= lambda1(G)^{2r} - w_min^{2r}.
 
     ``w`` must be a verified r-net with matching radius; the covering
     property is re-checked here rather than trusted.  Vertices of W are
     deleted outright (the row-zeroing picture gives the same top eigenvalue,
-    up to extra zero eigenvalues). When a power leaves the float range, the
-    check is decided in logs and a side beyond the range is inf. A graph
-    with no edge raises: w_min is the lightest edge weight.
+    up to extra zero eigenvalues). The check passes up to
+    ``DROP_CHECK_TOL`` times min(1, lambda1(G)^{2r}), a tolerance that
+    scales with the sides below unit size. When a power leaves the float
+    range, the check is decided in logs and a side beyond the range is inf.
+    A graph with no edge raises: w_min is the lightest edge weight.
     """
     if r < 1:
         raise GraphError("drop check needs r >= 1")
@@ -232,21 +222,18 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> DropReport
     lam_h = lambda1(h) if h.n > 0 else 0.0
     try:
         lhs = lam_h ** (2 * r)
-        rhs = lam_g ** (2 * r) - g.w_min ** (2 * r)
-        ok = lhs <= rhs + DROP_CHECK_TOL
+        top = lam_g ** (2 * r)
+        rhs = top - g.w_min ** (2 * r)
+        ok = lhs <= rhs + DROP_CHECK_TOL * min(1.0, top)
     except OverflowError:
         log_lhs = 2 * r * math.log(lam_h) if lam_h > 0 else -math.inf
         removed = (g.w_min / lam_g) ** (2 * r)
         log_rhs = 2 * r * math.log(lam_g) + (math.log1p(-removed) if removed < 1 else -math.inf)
         lhs, rhs, ok = _exp(log_lhs), _exp(log_rhs), log_lhs <= log_rhs
-    return DropReport(
-        r=r,
-        net_size=len(w.vertices),
-        lam1_g=lam_g,
-        lam1_h=lam_h,
-        lhs=lhs,
-        rhs=rhs,
-        ok=ok,
+    return Check(
+        "net-removal-drop", lhs, rhs, ok,
+        terms={"lam1_g": lam_g, "lam1_h": lam_h},
+        params={"n": g.n, "r": r, "net_size": len(w.vertices)},
     )
 
 

@@ -17,8 +17,9 @@ that need only a few counts use the latter.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -40,7 +41,7 @@ __all__ = [
     "count_at_most",
     "count_below",
     "trace_power",
-    "LocalGlobalReport",
+    "Check",
     "local_global_check",
 ]
 
@@ -48,6 +49,9 @@ TOL_EIG = 1e-8
 DEFAULT_SOLVER_CAP = 4096
 TRACE_POWER_MAX_K = 200
 LOCAL_GLOBAL_SLACK_TOL = 1e-6
+# ``local_global_check`` scales A by a power of two when n (delta w_max)^{2r},
+# a bound on both its sides, reaches 2^1000, short of the float range's 2^1024
+LOCAL_GLOBAL_LOG2_MAX = 1000
 
 # Restart budget (ARPACK's maxiter) of every Lanczos solve. Random-regular
 # d=4, n=4096 needs about 30 restarts for its top two eigenvalues; a top gap
@@ -897,26 +901,71 @@ def trace_power(g: WeightedGraph, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class LocalGlobalReport:
-    r: int
+class Check:
+    """One inequality check, lhs <= rhs, and its verdict.
+
+    Every check returns this record: ``net_removal_drop_check``,
+    ``local_global_check``, ``interlacing_check``, ``finite_param_check``
+    and ``thm_checker``. ``ok`` is each check's own verdict, lhs <= rhs up to
+    that check's tolerance; for ``thm_checker``, whose rhs is a rate with an
+    unknown constant, ``ok`` says that the hypotheses hold. ``terms`` holds
+    the named parts of the two sides and ``params`` the instance; both are
+    also read as attributes (``rep.lam1_h``). ``hypotheses``, ``rate`` and
+    ``implied_constant`` are empty or None where a check has none.
+    """
+
+    kind: str
     lhs: float
     rhs: float
-    slack: float
     ok: bool
+    terms: dict[str, float] = field(default_factory=dict)
+    params: dict[str, float | int | str | bool | None] = field(default_factory=dict)
+    hypotheses: dict[str, bool] = field(default_factory=dict)
+    rate: float | None = None
+    implied_constant: float | None = None
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def tightness(self) -> float:
+        """lhs / rhs: nan for 0 / 0 and inf / inf, +-inf for x / 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(self.lhs, self.rhs))
+
+    def __getattr__(self, name: str):
+        # only for names that are not fields; underscore names raise at once,
+        # so that copy and pickle probing a bare instance do not recurse
+        if not name.startswith("_"):
+            for named in (self.__dict__.get("terms", {}), self.__dict__.get("params", {})):
+                if name in named:
+                    return named[name]
+        raise AttributeError(f"Check has no term or parameter {name!r}")
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-def local_global_check(g: WeightedGraph, r: int) -> LocalGlobalReport:
+def local_global_check(g: WeightedGraph, r: int) -> Check:
     """Check trace(A^{2r}) <= sum_v lambda1(B(v, r))^{2r}.
 
-    ``slack = rhs - lhs`` must be >= -1e-6 * rhs (the inequality is exact
-    mathematics; the tolerance only absorbs floating-point error).
+    It passes when rhs - lhs >= -1e-6 * rhs (the inequality is exact
+    mathematics; the tolerance only absorbs floating-point error). When
+    n (delta w_max)^{2r}, which bounds both sides, reaches 2^1000, they
+    are computed on A scaled by a power of two, which is exact and keeps
+    the verdict, and scaled back: a side beyond the float range is inf.
     """
     if r < 1:
         raise GraphError("local_global_check needs r >= 1")
+    top, shift = g.delta * g.w_max, 0
+    if top > 0 and math.log2(g.n) + 2 * r * math.log2(top) >= LOCAL_GLOBAL_LOG2_MAX:
+        shift = math.frexp(top)[1]
+        g = WeightedGraph(g.n, g.indptr, g.indices, np.ldexp(g.weights, -shift),
+                          math.ldexp(g.w_min, -shift), math.ldexp(g.w_max, -shift), g.delta)
     lhs = trace_power(g, 2 * r)
-    lams = lambda1_balls(g, r)
-    rhs = _kahan_sum(float(x) ** (2 * r) for x in lams)
-    slack = rhs - lhs
-    ok = slack >= -LOCAL_GLOBAL_SLACK_TOL * abs(rhs)
-    return LocalGlobalReport(r, lhs, rhs, slack, ok)
-
+    rhs = _kahan_sum(float(x) ** (2 * r) for x in lambda1_balls(g, r))
+    ok = rhs - lhs >= -LOCAL_GLOBAL_SLACK_TOL * abs(rhs)
+    with np.errstate(over="ignore"):  # inf beyond the float range
+        lhs, rhs = np.ldexp([lhs, rhs], 2 * r * shift).tolist()
+    return Check("local-global", lhs, rhs, ok, params={"n": g.n, "r": r})

@@ -347,7 +347,9 @@ def decay_fit(series: ReturnSeries, window: tuple[int, int]) -> DecayFit:
 
 @dataclass(frozen=True)
 class RoundtripReport:
-    """Mass-decay exponent vs walk-decay exponent for the same tree."""
+    """Mass-decay exponent vs walk-decay exponent for the same tree. Not a
+    ``Check``: both estimate one number, so ``ok`` compares their difference
+    with ``tol``."""
 
     d: int
     alpha_mass: float

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from spectop import (
     BoundParams,
+    Check,
     FamilySpec,
     GraphError,
     HypothesisViolatedError,
@@ -268,6 +271,26 @@ def test_interlacing_bounds_hold(seed, mode):
     assert rep.ok
     assert rep.halfline_dev <= rep.halfline_bound == len(u)
     assert rep.interval_dev <= rep.interval_bound == 2 * len(u)
+    assert rep.lhs == max(rep.halfline_dev, rep.interval_dev / 2) <= rep.rhs == len(u)
+
+
+def test_check_reads_its_terms_and_params_as_attributes(cycle12):
+    rep = finite_param_check(cycle12, 1.5, 0.3, 1, 2, greedy_tree_net(cycle12, 1))
+    assert (rep.moment, rep.net) == (rep.terms["moment"], rep.terms["net"])
+    assert (rep.theta, rep.n, rep.net_method) == (0.3, 12, "greedy-tree")
+    assert rep.slack == rep.rhs - rep.lhs and rep.tightness == rep.lhs / rep.rhs
+    for name in ("nonesuch", "_moment", "__nonesuch__"):
+        with pytest.raises(AttributeError):
+            getattr(rep, name)
+    # copy and pickle look up dunder names on a bare instance
+    assert copy.deepcopy(rep) == rep == pickle.loads(pickle.dumps(rep))
+    assert json.loads(rep.to_json())["terms"] == rep.terms
+
+
+def test_check_tightness_at_a_zero_rhs():
+    assert math.isnan(Check("c", 0.0, 0, True).tightness)
+    assert Check("c", 2.0, 0, False).tightness == math.inf
+    assert Check("c", 1.0, 4.0, True).tightness == 0.25
 
 
 def test_interlacing_tight_on_complete_graph():

@@ -161,6 +161,18 @@ def test_rad_drop_overflowing_power_is_inf(tmp_path, monkeypatch):
     assert cells["lhs"] == cells["rhs"] == "inf" and cells["ok"] == "true"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_local_global_beyond_the_float_range_is_inf(tmp_path, monkeypatch):
+    # the triangle of weight 1e100 at r = 2: both sides about 1e401
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tri.txt").write_text("3 3\n0 1 1e100\n1 2 1e100\n0 2 1e100\n")
+    argv = ["verify", "local-global", "--graph", "tri.txt", "--r", "2", "--out", "lg.csv"]
+    assert run(argv) == 0
+    header, row = (tmp_path / "lg.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["lhs"], cells["rhs"], cells["slack"], cells["ok"]) == ("inf", "inf", "nan", "true")
+
+
 @pytest.mark.filterwarnings("error")
 def test_thm_expander_rate_overflow_is_inf(tmp_path, monkeypatch):
     # the window's lower end, about -2.5e300, is counted without a factorization

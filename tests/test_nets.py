@@ -24,6 +24,7 @@ from spectop import (
     net_removal_drop_check,
     random_expander_net,
 )
+from spectop import nets
 from spectop.graphs import VertexSet
 from spectop.rng import rng_for
 
@@ -220,6 +221,22 @@ def test_drop_check_beyond_the_float_range(r, lhs_finite):
     assert math.isfinite(rep.lhs) == lhs_finite
     if lhs_finite:
         assert rep.lhs == pytest.approx(rep.lam1_h ** (2 * r), rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [0.01, 1.0])
+def test_drop_check_without_a_drop_fails_at_any_weight(w, monkeypatch):
+    """Cycle 40 of weight w at r = 3: both sides scale as w^6, about 6e-11
+    at w = 0.01, so an absolute tolerance of 1e-8 would pass a check in
+    which removing the net drops nothing (lambda1(G - W) patched to
+    lambda1(G)). The unpatched check passes."""
+    g = build_graph(40, [(v, (v + 1) % 40, w) for v in range(40)])
+    net = greedy_tree_net(g, 3)
+    assert net_removal_drop_check(g, net, 3).ok
+    top = lambda1(g)
+    monkeypatch.setattr(nets, "lambda1", lambda h: top)
+    rep = net_removal_drop_check(g, net, 3)
+    assert rep.lam1_h == rep.lam1_g == top
+    assert not rep.ok
 
 
 def test_drop_check_rejects_r_zero():

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectop import (
@@ -393,6 +393,29 @@ def test_local_global_holds_on_random_graphs(seed, r):
     rep = local_global_check(g, r)
     assert rep.ok
     assert rep.lhs <= rep.rhs + 1e-6 * abs(rep.rhs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("w, r", [(1e100, 1), (1e100, 2), (1e200, 1)])
+def test_local_global_beyond_the_float_range(w, r):
+    """A triangle of weight w: trace(A^{2r}) = (2^{2r} + 2) w^{2r} and each
+    ball, the whole triangle, has lambda1 = 2w. A side beyond the float
+    range is inf, the verdict is the unit triangle's, and nothing warns."""
+    g = build_graph(3, [(0, 1, w), (1, 2, w), (0, 2, w)])
+    rep = local_global_check(g, r)
+    assert rep.ok
+    finite = 2 * r * math.log10(2 * w) < 308
+    assert math.isfinite(rep.lhs) == math.isfinite(rep.rhs) == finite
+
+
+@pytest.mark.parametrize("k, scaled", [(248, False), (249, True)])
+def test_local_global_scaling_is_exact(k, scaled):
+    """n (delta w_max)^4 = 3 (2^{k+1})^4 reaches 2^1000 at k = 249, where A
+    is scaled down by a power of two; both sides stay exact on either side."""
+    g = build_graph(3, [(0, 1, 2.0**k), (1, 2, 2.0**k), (0, 2, 2.0**k)])
+    assert (math.log2(3) + 4 * (k + 1) >= spectral.LOCAL_GLOBAL_LOG2_MAX) == scaled
+    rep = local_global_check(g, 2)
+    assert (rep.lhs, rep.rhs) == (18 * 2.0 ** (4 * k), 48 * 2.0 ** (4 * k))
 
 
 def dense_ball_tops(g, r):
@@ -908,7 +931,8 @@ def recorded_factorizations(mp):
 
 
 def second_eig_factorizations(fam, n, monkeypatch):
-    """The row of the criterion 11 sweep, and the orderings and fills that
+    """The row of the criterion 11 sweep (its record and the cells the
+    record does not hold), and the orderings and fills that
     ``recorded_factorizations`` records for it."""
     g, seed = sweep_row_graph(fam, n)
     orderings, sizes = recorded_factorizations(monkeypatch)
@@ -933,15 +957,15 @@ def test_second_eig_row_counts_below_minus_b_without_a_factorization(n, lhs, fp_
     (about -5.07 and -4.21) below -B = -4, where the count is 0 with no
     factorization; the en-route window's count is factored as before. The
     row's counts are the dense spectrum's, as before this rule."""
-    g, row, orderings, sizes = second_eig_factorizations(RR4, n, monkeypatch)
-    x, theta = row["x"], row["theta"]
+    g, (rep, row), orderings, sizes = second_eig_factorizations(RR4, n, monkeypatch)
+    x, theta = rep.x, rep.theta
     assert (1.0 - theta) * x - TOL_EIG < -4.0
     assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
     assert sizes == [sizes[0]] * 2
-    assert (row["lhs"], row["fp_lhs"]) == (lhs, fp_lhs)
+    assert (rep.lhs, row["fp_lhs"]) == (lhs, fp_lhs)
     dense = eigenvalues(g)
-    assert row["lhs"] == thm_checker(g, "second-eig", spectrum=dense).lhs
-    assert row["fp_lhs"] == en_route_finite_param(g, dense, x, theta)[3].lhs
+    assert rep.lhs == thm_checker(g, "second-eig", spectrum=dense).lhs
+    assert row["fp_lhs"] == en_route_finite_param(g, dense, x, theta).lhs
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("torus-grid", dims=(32, 32)), FamilySpec("torus-grid", dims=(40, 16))],
@@ -1542,3 +1566,24 @@ def test_rad_drop_certifies_lambda1_of_a_path_above_the_cap(monkeypatch, tmp_pat
 def test_lambda1_lanczos_within_budget():
     g = generate(FamilySpec("random-regular", n=5000, d=4, seed=1))
     assert lambda1(g) == pytest.approx(4.0, abs=1e-10)
+
+
+# x - lambda2 in units of TOL_EIG; not +-1, which put a count's shift on the
+# double eigenvalue lambda2 itself, where the factorization is singular and
+# the count refuses with SolverCapError above the dense cap
+STEPS = st.sampled_from([-3, -2, -1.5, -0.5, 0, 0.5, 1.5, 2, 3])
+
+
+@settings(max_examples=4)
+@given(n=st.integers(62_800, 62_870), steps=st.lists(STEPS, min_size=1, max_size=3))
+def test_cycle_counts_bracket_the_closed_form_across_the_top_gap(n, steps):
+    """lambda1 - lambda2 is about (2 pi / n)^2, which crosses TOL_EIG in this
+    range of n. At x a few TOL_EIG from the closed-form lambda2 =
+    2 cos(2 pi / n), the counts read high and low bracket the closed-form
+    count above x (at n = 62 832 and x = lambda2: 0 <= 1 <= 3)."""
+    counts = InertiaCounts(generate(FamilySpec("cycle", n=n)))
+    closed = 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    for step in steps:
+        x = closed[1] + step * TOL_EIG
+        above = int(np.count_nonzero(closed > x))
+        assert n - count_at_most(counts, x) <= above <= n - count_below(counts, x)
