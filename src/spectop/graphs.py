@@ -180,8 +180,14 @@ class WeightedGraph:
         return len(self.indices) // 2
 
     def rows(self) -> np.ndarray:
-        """The row of every entry: ``(rows()[i], indices[i])`` is an entry."""
-        return np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
+        """Each entry's row: ``(rows()[i], indices[i])`` is an entry; computed once, read-only."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        rows = np.arange(self.n).repeat(self.indptr[1:] - self.indptr[:-1])
+        rows.setflags(write=False)
+        return rows
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Undirected edges as (u, v, w) with u < v, ascending."""
@@ -428,7 +434,12 @@ def ball(g: WeightedGraph, v: int, r: int) -> tuple[WeightedGraph, tuple[int, ..
 def is_connected(g: WeightedGraph) -> bool:
     if g.n <= 1:
         return True
-    return sp.csgraph.connected_components(g.csr, directed=False, return_labels=False) == 1
+    # Strong components (Pearce 2005) need no transpose, unlike directed=False,
+    # and equal the components of a symmetric matrix. Every matrix given them,
+    # here, in lambda1 and in the cell check, is: a WeightedGraph stores both
+    # directions, and _intra_class keeps an entry iff it keeps its mirror.
+    return sp.csgraph.connected_components(
+        g.csr, directed=True, connection="strong", return_labels=False) == 1
 
 
 # -- net and separation predicates ----------------------------------------

@@ -122,7 +122,7 @@ def elect_captains(g: WeightedGraph, labels: LocalLabels, p: float) -> VertexSet
     _check_labels(g, labels)
     if not 0.0 <= p <= 1.0:
         raise GraphError("captain probability must lie in [0, 1]")
-    return VertexSet.of(np.flatnonzero(labels.values <= p).tolist(), g.n)
+    return VertexSet(tuple(np.flatnonzero(labels.values <= p).tolist()), g.n)
 
 
 @dataclass(frozen=True)
@@ -169,15 +169,22 @@ def _voronoi_forest(
 
     Each queue layer is sorted by captain (label, id), so a vertex's parent,
     its first-queued neighbour one layer closer, has the tie-break's captain.
+    A vertex's cell is its tree's root, found for all vertices at once by
+    pointer jumping, ``root = root[root]``, in about log2(depth) + 1 steps
+    (Wyllie 1979); captains and unreached vertices are their own parents.
     """
     _check_labels(g, labels)
     if R < 0:
         raise GraphError("cell radius must be nonnegative")
     parent, layers = _ranked_bfs(g, labels.values, captains.ids)
-    layers = [layer for d, layer in enumerate(layers) if d < R + 1]  # as distances(cutoff=R)
+    layers = layers[: math.ceil(min(R, len(layers))) + 1]  # as distances(cutoff=R)
+    root = parent
+    while not np.array_equal(up := root[root], root):
+        root = up
     assignment = np.full(g.n, -1, dtype=np.int64)
-    for d, layer in enumerate(layers):
-        assignment[layer] = assignment[parent[layer]] if d else layer
+    if layers:
+        near = np.concatenate(layers)
+        assignment[near] = root[near]
     cells = CellAssignment(captains, assignment, R)
     intra = _intra_cell(g, assignment)
     _verify_cells_connected(intra, cells)
@@ -192,9 +199,10 @@ def _intra_cell(g: WeightedGraph, a: np.ndarray) -> sp.csr_matrix:
 
 def _verify_cells_connected(intra: sp.csr_matrix, cells: CellAssignment) -> None:
     """Every assigned vertex lies in its captain's component of ``intra``,
-    the graph of intra-cell edges (``_intra_cell`` of the assignment)."""
+    the graph of intra-cell edges (``_intra_cell`` of the assignment), by
+    strong components, which are its components (see ``is_connected``)."""
     a = cells.assignment
-    _, comp = sp.csgraph.connected_components(intra, directed=False)
+    _, comp = sp.csgraph.connected_components(intra, directed=True, connection="strong")
     assigned = np.flatnonzero(a >= 0)
     orphans = assigned[comp[assigned] != comp[a[assigned]]]
     if len(orphans):

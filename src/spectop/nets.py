@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -206,7 +207,8 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> Check:
     up to extra zero eigenvalues). The check passes up to
     ``DROP_CHECK_TOL`` times min(1, lambda1(G)^{2r}), a tolerance that
     scales with the sides below unit size. When a power leaves the float
-    range, the check is decided in logs and a side beyond the range is inf.
+    range, the check is decided in logs and a side beyond the range is inf;
+    below the normal range, on both sides divided by lambda1(G)^{2r}.
     A graph with no edge raises: w_min is the lightest edge weight.
     """
     if r < 1:
@@ -224,7 +226,10 @@ def net_removal_drop_check(g: WeightedGraph, w: NetResult, r: int) -> Check:
         lhs = lam_h ** (2 * r)
         top = lam_g ** (2 * r)
         rhs = top - g.w_min ** (2 * r)
-        ok = lhs <= rhs + DROP_CHECK_TOL * min(1.0, top)
+        if top < sys.float_info.min:  # the sides underflow: divide them by top
+            ok = (lam_h / lam_g) ** (2 * r) <= 1.0 - (g.w_min / lam_g) ** (2 * r) + DROP_CHECK_TOL
+        else:
+            ok = lhs <= rhs + DROP_CHECK_TOL * min(1.0, top)
     except OverflowError:
         log_lhs = 2 * r * math.log(lam_h) if lam_h > 0 else -math.inf
         removed = (g.w_min / lam_g) ** (2 * r)

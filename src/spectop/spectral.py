@@ -50,7 +50,7 @@ DEFAULT_SOLVER_CAP = 4096
 TRACE_POWER_MAX_K = 200
 LOCAL_GLOBAL_SLACK_TOL = 1e-6
 # ``local_global_check`` scales A by a power of two when n (delta w_max)^{2r},
-# a bound on both its sides, reaches 2^1000, short of the float range's 2^1024
+# a bound on both its sides, reaches 2^1000 or 2^-1000, inside the float range
 LOCAL_GLOBAL_LOG2_MAX = 1000
 
 # Restart budget (ARPACK's maxiter) of every Lanczos solve. Random-regular
@@ -219,7 +219,8 @@ def lambda1(g: WeightedGraph) -> float:
     within ``TOL_EIG`` or raising :class:`SolverCapError`. Errors on the
     empty graph. The component route runs only the components whose largest
     row sum reaches the largest mean row sum (a Rayleigh quotient, at most
-    its component's lambda1): no other can hold the top.
+    its component's lambda1): no other can hold the top. The components are
+    strong components, and each runs alone (see ``graphs.is_connected``).
     """
     if g.n == 0:
         raise GraphError("lambda1 of the empty graph is undefined")
@@ -229,7 +230,7 @@ def lambda1(g: WeightedGraph) -> float:
     if g.n <= DENSE_TOP_MAX:
         return _dense_top(g.dense())
     if g.n <= DEFAULT_SOLVER_CAP:
-        labels = sp.csgraph.connected_components(g.csr, directed=False)[1]
+        labels = sp.csgraph.connected_components(g.csr, directed=True, connection="strong")[1]
         ids, sizes = np.argsort(labels, kind="stable"), np.bincount(labels)
         starts = np.cumsum(sizes) - sizes
         means = np.add.reduceat(sums[ids], starts) / sizes
@@ -952,14 +953,14 @@ def local_global_check(g: WeightedGraph, r: int) -> Check:
 
     It passes when rhs - lhs >= -1e-6 * rhs (the inequality is exact
     mathematics; the tolerance only absorbs floating-point error). When
-    n (delta w_max)^{2r}, which bounds both sides, reaches 2^1000, they
-    are computed on A scaled by a power of two, which is exact and keeps
-    the verdict, and scaled back: a side beyond the float range is inf.
+    n (delta w_max)^{2r}, which bounds both sides, reaches 2^1000 or 2^-1000,
+    they are computed on A scaled by a power of two, exact and keeping the
+    verdict, and scaled back: a side beyond the float range is inf or 0.
     """
     if r < 1:
         raise GraphError("local_global_check needs r >= 1")
     top, shift = g.delta * g.w_max, 0
-    if top > 0 and math.log2(g.n) + 2 * r * math.log2(top) >= LOCAL_GLOBAL_LOG2_MAX:
+    if top > 0 and abs(math.log2(g.n) + 2 * r * math.log2(top)) >= LOCAL_GLOBAL_LOG2_MAX:
         shift = math.frexp(top)[1]
         g = WeightedGraph(g.n, g.indptr, g.indices, np.ldexp(g.weights, -shift),
                           math.ldexp(g.w_min, -shift), math.ldexp(g.w_max, -shift), g.delta)

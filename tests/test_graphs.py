@@ -95,9 +95,12 @@ def test_csr_arrays_hold_a_sorted_symmetric_read_only_adjacency(seed):
     a = g.csr
     assert (a != a.T).nnz == 0
     assert a.diagonal().sum() == 0
-    for arr in (g.indptr, g.indices, g.weights):
+    for arr in (g.indptr, g.indices, g.weights, g.rows()):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+    # rows() is computed once and the same array returned on every call
+    assert g.rows() is g.rows()
+    assert np.array_equal(g.rows(), np.repeat(np.arange(g.n), np.diff(g.indptr)))
 
 
 def per_edge_validator(n, edges):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from spectop import (
     all_pairs_distances,
     build_graph,
     cell_transport,
+    delete_vertices,
     elect_captains,
     generate,
     greedy_tree_net,
@@ -269,6 +271,37 @@ def test_voronoi_assign_matches_the_layer_oracle(seed, R):
     captains = VertexSet.of(np.flatnonzero(rng_for(seed).random(g.n) < 0.3).tolist(), g.n)
     cells = voronoi_assign(g, captains, labels, R)
     assert np.array_equal(cells.assignment, reference_voronoi_assign(g, captains, labels, R))
+
+
+def test_voronoi_assign_on_a_deep_forest():
+    """Two adjacent captains on cycle 4096 with R = 2048: BFS trees 2047
+    deep, whose roots take 11 pointer-jumping steps and a 12th that
+    changes nothing."""
+    g = generate(FamilySpec("cycle", n=4096))
+    labels = LocalLabels.from_seed(g.n, 5)
+    captains = VertexSet.of([0, 1], g.n)
+    cells = voronoi_assign(g, captains, labels, 2048)
+    assert np.array_equal(cells.assignment, reference_voronoi_assign(g, captains, labels, 2048))
+    assert set(cells.assignment.tolist()) == {0, 1}
+
+
+def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    return len(set(zip(a.tolist(), b.tolist()))) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@given(g=graphs, seed=st.integers(0, 10_000))
+def test_strong_components_are_the_components_of_graph_matrices(g, seed):
+    """The component calls ask scipy for strong components, which are the
+    components of a symmetric matrix: g's adjacency, that of g - W, and the
+    intra-cell edges of any assignment are symmetric."""
+    rng = rng_for(seed)
+    removed = np.flatnonzero(rng.random(g.n) < 0.3).tolist()
+    a = rng.integers(-1, 3, g.n)
+    for m in (g.csr, delete_vertices(g, removed)[0].csr, _intra_cell(g, a)):
+        assert (m != m.T).nnz == 0
+        strong = sp.csgraph.connected_components(m, directed=True, connection="strong")[1]
+        weak = sp.csgraph.connected_components(m, directed=False)[1]
+        assert same_partition(strong, weak)
 
 
 @given(seed=st.integers(0, 2_000), r=st.integers(1, 3))

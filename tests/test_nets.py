@@ -223,12 +223,14 @@ def test_drop_check_beyond_the_float_range(r, lhs_finite):
         assert rep.lhs == pytest.approx(rep.lam1_h ** (2 * r), rel=1e-12)
 
 
-@pytest.mark.parametrize("w", [0.01, 1.0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("w", [0.01, 1.0, 1e-100])
 def test_drop_check_without_a_drop_fails_at_any_weight(w, monkeypatch):
     """Cycle 40 of weight w at r = 3: both sides scale as w^6, about 6e-11
     at w = 0.01, so an absolute tolerance of 1e-8 would pass a check in
     which removing the net drops nothing (lambda1(G - W) patched to
-    lambda1(G)). The unpatched check passes."""
+    lambda1(G)). At w = 1e-100 both sides underflow to 0, and the check
+    is decided on them divided by lambda1(G)^6. The unpatched check passes."""
     g = build_graph(40, [(v, (v + 1) % 40, w) for v in range(40)])
     net = greedy_tree_net(g, 3)
     assert net_removal_drop_check(g, net, 3).ok

@@ -408,14 +408,28 @@ def test_local_global_beyond_the_float_range(w, r):
     assert math.isfinite(rep.lhs) == math.isfinite(rep.rhs) == finite
 
 
-@pytest.mark.parametrize("k, scaled", [(248, False), (249, True)])
+@pytest.mark.parametrize("k, scaled", [(248, False), (249, True), (-251, False), (-252, True)])
 def test_local_global_scaling_is_exact(k, scaled):
     """n (delta w_max)^4 = 3 (2^{k+1})^4 reaches 2^1000 at k = 249, where A
-    is scaled down by a power of two; both sides stay exact on either side."""
+    is scaled down by a power of two, and falls below 2^-1000 at k = -252,
+    where A is scaled up; both sides stay exact on either side."""
     g = build_graph(3, [(0, 1, 2.0**k), (1, 2, 2.0**k), (0, 2, 2.0**k)])
-    assert (math.log2(3) + 4 * (k + 1) >= spectral.LOCAL_GLOBAL_LOG2_MAX) == scaled
+    assert (abs(math.log2(3) + 4 * (k + 1)) >= spectral.LOCAL_GLOBAL_LOG2_MAX) == scaled
     rep = local_global_check(g, 2)
     assert (rep.lhs, rep.rhs) == (18 * 2.0 ** (4 * k), 48 * 2.0 ** (4 * k))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_local_global_below_the_float_range_keeps_its_verdict(monkeypatch):
+    """The path 0-1-2 of weight 1e-100 at r = 2: both sides, about 1e-399,
+    underflow to 0, yet the verdict is decided on A scaled up, so halving
+    every ball's lambda1 (rhs / 16 against lhs = 8 w^4) fails the check."""
+    g = build_graph(3, [(0, 1, 1e-100), (1, 2, 1e-100)])
+    rep = local_global_check(g, 2)
+    assert rep.ok and rep.lhs == rep.rhs == 0.0
+    halved = spectral.lambda1_balls
+    monkeypatch.setattr(spectral, "lambda1_balls", lambda h, r: halved(h, r) / 2)
+    assert not local_global_check(g, 2).ok
 
 
 def dense_ball_tops(g, r):
