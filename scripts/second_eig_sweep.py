@@ -31,7 +31,6 @@ def parse_args() -> argparse.Namespace:
                     help="degree for the random-regular family")
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--out-dir", default="out/second-eig")
-    ap.add_argument("--workers", type=int, default=None)
     return ap.parse_args()
 
 
@@ -54,10 +53,7 @@ def main() -> int:
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
 
-    argv = ["sweep", "--config", cfg_path]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    rc = spectop_main(argv)
+    rc = spectop_main(["sweep", "--config", cfg_path])
     if rc != 0:
         return rc
 

@@ -23,9 +23,8 @@ sha256 of the canonical invocation config, the master seed, and library
 versions, so outputs can be tied back to the exact run that made them.
 Numbers are written with 17 significant digits and a ``.`` decimal point
 regardless of locale; reruns with the same config and seed are
-byte-identical, including under ``SPECTOP_WORKERS`` parallelism, because
-every trial draws from its own ``(master seed, trial index)`` stream and
-rows are aggregated in trial order.
+byte-identical, because every trial draws from its own ``(master seed,
+trial index)`` stream.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -82,9 +80,6 @@ from .walks import (
     tree_return_probs,
 )
 
-WORKERS_ENV = "SPECTOP_WORKERS"
-
-
 # ---------------------------------------------------------------------------
 # formatting, manifests, trial plumbing
 
@@ -126,12 +121,9 @@ def write_manifest(out_path: str, config: dict, seed: int | None) -> None:
 
 
 def invocation_config(args: argparse.Namespace) -> dict:
-    # Worker count is runtime plumbing, not config: parallelism must not
-    # change any output byte, so it must not change the config hash either.
-    skip = {"func", "workers"}
     out: dict = {}
     for key, value in sorted(vars(args).items()):
-        if key in skip:
+        if key == "func":
             continue
         if isinstance(value, tuple):
             value = list(value)
@@ -157,25 +149,14 @@ def emit(text: str, path: str | None, config: dict, seed: int | None) -> None:
     write_manifest(path, config, seed)
 
 
-def n_workers(override: int | None = None) -> int:
-    if override is not None:
-        return max(1, override)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise GraphError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return 1
-
-
 def run_trials(fn: Callable[[int], Any], trials: int, workers: int) -> list:
-    """Evaluate fn(0..trials-1); results come back in trial order regardless
-    of how many workers raced."""
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+    """fn(0), ..., fn(trials - 1), in trial order.
+
+    ``workers`` is unused. It stays because ``bench/batteries.py`` times
+    each second-eig row by replacing this function with a wrapper that
+    takes and passes on three arguments.
+    """
+    return [fn(t) for t in range(trials)]
 
 
 def violation(
@@ -578,7 +559,6 @@ def suite_rows(
     name: str,
     cases: list[tuple[dict, int, int, Callable[[int], WeightedGraph]]],
     p: argparse.Namespace,
-    workers: int,
     tol: float | None = None,
     family_column: bool = False,
 ) -> tuple[list[str], list[list], list[dict]]:
@@ -612,7 +592,7 @@ def suite_rows(
 
     rows: list[list] = []
     violations: list[dict] = []
-    for (fam, t, seed, _), group in zip(cases, run_trials(one, len(cases), workers)):
+    for (fam, t, seed, _), group in zip(cases, run_trials(one, len(cases), 1)):
         for q, (rep, row) in group:
             row.update(family=fam.get("family"), trial=t)
             if tol is not None:
@@ -633,7 +613,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fam = family_of(args)
     graph = graph_provider(fam)
     cases = [(fam, t, trial_seed(args.seed, t), graph) for t in range(args.trials)]
-    header, rows, violations = suite_rows(args.suite, cases, p, n_workers(args.workers))
+    header, rows, violations = suite_rows(args.suite, cases, p)
     emit(csv_text(header, rows), args.out, invocation_config(args), args.seed)
     return report_violations(violations, args.out)
 
@@ -806,9 +786,7 @@ def _tolerance(cfg: ExperimentConfig) -> float | None:
     return cfg.tolerances.get(cfg.suite)
 
 
-def sweep_rows(
-    cfg: ExperimentConfig, workers: int
-) -> tuple[list[str], list[list], list[dict]]:
+def sweep_rows(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[dict]]:
     """Header, rows and violations of a sweep.
 
     Every families entry is taken at every grid ``n`` when the grid has one.
@@ -845,7 +823,7 @@ def sweep_rows(
             (fam, i, trial_seed(cfg.seed, i), graph_provider(fam))
             for i, fam in enumerate(families)
         ]
-    return suite_rows(cfg.suite, cases, p, workers, tol, family_column=True)
+    return suite_rows(cfg.suite, cases, p, tol, family_column=True)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -865,7 +843,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if overrides:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **overrides})
 
-    header, rows, violations = sweep_rows(cfg, n_workers(args.workers))
+    header, rows, violations = sweep_rows(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"{cfg.suite}.csv")
     emit(csv_text(header, rows), out_path, cfg.to_dict(), cfg.seed)
@@ -939,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
         for key, kw in SUITES[name].params.items():
             sp.add_argument("--" + key.replace("_", "-"), **kw)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int)
         sp.add_argument("--out")
         sp.set_defaults(func=cmd_verify)
 
@@ -992,7 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, help="override the config seed")
     sp.add_argument("--out-dir", help="override the config output directory")
     sp.add_argument("--suite", help="override the config suite")
-    sp.add_argument("--workers", type=int, help="override the worker count")
     sp.set_defaults(func=cmd_sweep)
 
     return parser

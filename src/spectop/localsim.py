@@ -233,7 +233,7 @@ class LocalNetRun:
                 "R": self.R,
                 "r": self.r,
                 "captains": list(self.cells.captains.ids),
-                "unassigned_count": len(self.cells.unassigned()),
+                "unassigned_count": int(np.count_nonzero(self.cells.assignment < 0)),
                 "net_size": len(self.net.vertices),
                 "density": self.net.density,
             },

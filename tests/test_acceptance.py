@@ -7,6 +7,9 @@ measured quantities.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,8 +17,9 @@ import numpy as np
 import pytest
 from conftest import random_connected_graph
 
+import spectop
 from spectop.bounds import finite_param_check, interlacing_check
-from spectop.cli import ExperimentConfig, main, n_workers, sweep_rows
+from spectop.cli import ExperimentConfig, sweep_rows
 from spectop.families import FamilySpec, generate
 from spectop.graphs import VertexSet, distances, UNREACHABLE
 from spectop.localsim import (
@@ -360,7 +364,7 @@ def test_criterion_11_second_eig_sweep():
         families=({"family": "cycle"}, {"family": "random-regular", "d": 4}),
         grid={"n": [2**k for k in range(8, 13)]},
     )
-    header, rows, violations = sweep_rows(cfg, n_workers(None))
+    header, rows, violations = sweep_rows(cfg)
     i_imp = header.index("implied_constant")
     i_fp = header.index("fp_ok")
     implied = [row[i_imp] for row in rows]
@@ -406,11 +410,18 @@ DETERMINISM_BATTERY = [
 ]
 
 
-def run_determinism_battery(root, monkeypatch, workers):
-    monkeypatch.setenv("SPECTOP_WORKERS", str(workers))
-    monkeypatch.chdir(root)
-    for argv in DETERMINISM_BATTERY:
-        assert main(list(argv)) == 0, argv
+BATTERY_SCRIPT = """
+import json, sys
+from spectop.cli import main
+for argv in json.load(sys.stdin):
+    if main(argv) != 0:
+        sys.exit(f"exit code not 0: {argv}")
+"""
+
+
+def run_determinism_battery(root, blas_threads):
+    """The battery and a second-eig sweep in a fresh process whose BLAS
+    runs on ``blas_threads`` threads; returns every file it wrote."""
     cfg = {
         "suite": "second-eig",
         "seed": 9,
@@ -418,7 +429,14 @@ def run_determinism_battery(root, monkeypatch, workers):
         "grid": {"n": [32, 64]},
     }
     (root / "cfg.json").write_text(json.dumps(cfg, sort_keys=True))
-    assert main(["sweep", "--config", "cfg.json"]) == 0
+    argvs = [*DETERMINISM_BATTERY, ["sweep", "--config", "cfg.json"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spectop.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run(
+        [sys.executable, "-c", BATTERY_SCRIPT], input=json.dumps(argvs), cwd=root,
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
     return {
         str(p.relative_to(root)): p.read_bytes()
         for p in sorted(root.rglob("*"))
@@ -426,15 +444,15 @@ def run_determinism_battery(root, monkeypatch, workers):
     }
 
 
-def test_criterion_12_determinism(tmp_path, monkeypatch):
+def test_criterion_12_determinism(tmp_path):
     a = tmp_path / "run-a"
     b = tmp_path / "run-b"
     a.mkdir()
     b.mkdir()
-    out_a = run_determinism_battery(a, monkeypatch, workers=1)
-    out_b = run_determinism_battery(b, monkeypatch, workers=6)
+    out_a = run_determinism_battery(a, blas_threads=1)
+    out_b = run_determinism_battery(b, blas_threads=2)
     ok = sorted(out_a) == sorted(out_b) and all(
         out_a[name] == out_b[name] for name in out_a
     )
     verdict(12, "determinism", ok,
-            f"{len(out_a)} files byte-identical across runs and worker counts")
+            f"{len(out_a)} files byte-identical across runs at 1 and 2 BLAS threads")

@@ -337,7 +337,7 @@ def test_checks_ask_for_the_recorded_shifts(tmp_path, monkeypatch):
     cfg = ExperimentConfig(suite="second-eig", seed=17,
                            families=({"family": "cycle"}, {"family": "random-regular", "d": 4}),
                            grid={"n": [2**k for k in range(8, 13)]})
-    sweep_rows(cfg, 1)
+    sweep_rows(cfg)
     assert main(["verify", "finite-param", "--family", "random-regular", "--n", "1024",
                  "--d", "4", "--theta", "0.3", "--r", "1", "--s", "2", "--x-rule", "value",
                  "--x", "3", "--seed", "3", "--out", "fp.csv"]) == 0

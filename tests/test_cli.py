@@ -199,16 +199,32 @@ def test_manifest_shape(tmp_path, monkeypatch):
     assert "time" not in (tmp_path / "g.graph.manifest.json").read_text()
 
 
-def test_manifest_ignores_worker_count(tmp_path, monkeypatch):
+def test_config_sha256_is_pinned(tmp_path, monkeypatch):
+    """What ``invocation_config`` and ``ExperimentConfig.to_dict`` hash is
+    part of every manifest: a change to either moves these digests."""
     monkeypatch.chdir(tmp_path)
-    base = ["verify", "rad-drop", "--family", "cycle", "--n", "16", "--r", "1",
-            "--trials", "2", "--out", "a.csv"]
-    assert run(base + ["--workers", "1"]) == 0
-    man_a = (tmp_path / "a.csv.manifest.json").read_bytes()
-    csv_a = (tmp_path / "a.csv").read_bytes()
-    assert run(base + ["--workers", "3"]) == 0
-    assert (tmp_path / "a.csv.manifest.json").read_bytes() == man_a
-    assert (tmp_path / "a.csv").read_bytes() == csv_a
+    assert run(["verify", "rad-drop", "--family", "cycle", "--n", "16", "--r", "1",
+                "--trials", "2", "--out", "a.csv"]) == 0
+    man = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    assert man["config_sha256"] == (
+        "7f6eeb32602ee8df48850b5b115127c29917a25fdef1dbc85ea165e26accc289")
+    (tmp_path / "cfg.json").write_text(
+        '{"suite": "rad-drop", "seed": 5, "families": [{"family": "cycle", "n": 16}], '
+        '"grid": {"trials": 2, "r": 1}}')
+    assert run(["sweep", "--config", "cfg.json"]) == 0
+    man = json.loads((tmp_path / "sweep-out" / "rad-drop.csv.manifest.json").read_text())
+    assert man["config_sha256"] == (
+        "f7b8b714f26585489fdad1dc4c9923d48501ca241b646965d83e99b2dbff4f38")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "rad-drop", "--family", "cycle", "--n", "16", "--r", "1", "--workers", "2"],
+    ["sweep", "--config", "cfg.json", "--workers", "2"],
+], ids=["verify", "sweep"])
+def test_workers_is_an_unknown_option(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
 
 
 def test_config_hash_sensitive_to_values():
@@ -669,8 +685,7 @@ BATTERY = [
 ]
 
 
-def run_battery(root, monkeypatch, workers):
-    monkeypatch.setenv("SPECTOP_WORKERS", str(workers))
+def run_battery(root, monkeypatch):
     monkeypatch.chdir(root)
     for argv in BATTERY:
         assert run(list(argv)) == 0
@@ -683,28 +698,27 @@ def run_battery(root, monkeypatch, workers):
     return out
 
 
-def test_same_seed_same_bytes_across_workers(tmp_path, monkeypatch):
+def test_same_seed_same_bytes_across_runs(tmp_path, monkeypatch):
     a = tmp_path / "a"
     b = tmp_path / "b"
     a.mkdir()
     b.mkdir()
-    out_a = run_battery(a, monkeypatch, workers=1)
-    out_b = run_battery(b, monkeypatch, workers=4)
+    out_a = run_battery(a, monkeypatch)
+    out_b = run_battery(b, monkeypatch)
     assert sorted(out_a) == sorted(out_b)
     for name in out_a:
         assert out_a[name] == out_b[name], name
 
 
-def test_second_eig_sparse_path_same_bytes_across_workers(tmp_path, monkeypatch):
+def test_second_eig_sparse_path_same_bytes_across_runs(tmp_path, monkeypatch):
     """At n = 1024 lambda_2 comes from Lanczos (shift-invert on the cycle)
-    and the counts from sparse factorizations; their floats must not
-    depend on the process or thread that ran them."""
+    and the counts from sparse factorizations; a second run in the same
+    process must write the same floats as the first."""
     cfg = {**SECOND_EIG_CFG, "grid": {"n": [1024]}}
     outs = []
-    for workers in (1, 3):
-        root = tmp_path / f"w{workers}"
+    for run_index in (1, 2):
+        root = tmp_path / f"run{run_index}"
         root.mkdir()
-        monkeypatch.setenv("SPECTOP_WORKERS", str(workers))
         monkeypatch.chdir(root)
         (root / "cfg.json").write_text(json.dumps(cfg))
         assert run(["sweep", "--config", "cfg.json"]) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -402,3 +403,5 @@ def test_transcript_is_deterministic_json(cycle12):
     run2 = local_net(cycle12, labels, 0.3, 4, 2)
     assert run1.transcript_json() == run2.transcript_json()
     assert '"seed": 9' in run1.transcript_json()
+    unassigned = json.loads(run1.transcript_json())["unassigned_count"]
+    assert unassigned == len(run1.cells.unassigned())

@@ -1440,9 +1440,9 @@ def test_the_sweep_rows_need_no_dense_spectrum(tmp_path, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(InertiaCounts, "_block_pivots",
                    lambda self, sigma, split: real(self, sigma, split) if split.h else None)
-        reference = sweep_rows(cfg, 1)
+        reference = sweep_rows(cfg)
     no_spectrum(monkeypatch)
-    assert sweep_rows(cfg, 1) == reference
+    assert sweep_rows(cfg) == reference
 
 
 def test_later_block_shifts_make_no_eigensolve(monkeypatch):
